@@ -4,6 +4,9 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --workspace --release
+# The benchmark package builds against the public API; break that API here,
+# not in the benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --workspace
 # The resilience suite is the gate for storage-fault behaviour; run it
 # explicitly so a filtered or partial test invocation cannot skip it.

@@ -49,10 +49,8 @@ impl DensityField {
     ) -> Result<Self, SpioError> {
         let mut field = DensityField::new(reader.meta.domain, dims);
         // Per-file accumulation avoids holding the whole dataset at once.
-        for entry in reader.meta.entries.clone() {
-            let q = entry.bounds;
-            let (ps, _) = reader.read_box(storage, &q)?;
-            field.splat(&ps);
+        for idx in 0..reader.meta.entries.len() {
+            field.splat(&reader.fetch(storage, idx, None)?.0);
         }
         Ok(field)
     }

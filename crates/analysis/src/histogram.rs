@@ -74,9 +74,8 @@ pub fn density_histogram<S: Storage>(
 ) -> Result<Histogram, SpioError> {
     let (lo, hi) = density_bounds(reader);
     let mut h = Histogram::new(lo, hi, bins);
-    for entry in reader.meta.entries.clone() {
-        let (ps, _) = reader.read_box(storage, &entry.bounds)?;
-        h.add_densities(&ps);
+    for idx in 0..reader.meta.entries.len() {
+        h.add_densities(&reader.fetch(storage, idx, None)?.0);
     }
     Ok(h)
 }
@@ -89,21 +88,12 @@ pub fn density_histogram_lod<S: Storage>(
     bins: usize,
     fraction: f64,
 ) -> Result<Histogram, SpioError> {
-    use spio_format::data_file::{decode_prefix, payload_range};
-    use spio_format::LodParams;
     let (lo, hi) = density_bounds(reader);
     let mut h = Histogram::new(lo, hi, bins);
     let total = reader.meta.total_particles;
     let target = (total as f64 * fraction.clamp(0.0, 1.0)).round() as u64;
-    for entry in &reader.meta.entries {
-        let take = LodParams::file_prefix(entry.particle_count, total, target);
-        if take == 0 {
-            continue;
-        }
-        let (_, end) = payload_range(0, take as usize);
-        let bytes = storage.read_range(&entry.file_name(), 0, end)?;
-        let (_, ps) = decode_prefix(&bytes, take as usize)?;
-        h.add_densities(&ps);
+    for idx in 0..reader.meta.entries.len() {
+        h.add_densities(&reader.fetch_prefix(storage, idx, target)?.0);
     }
     Ok(h)
 }

@@ -131,15 +131,10 @@ pub fn lod_quality<S: Storage>(storage: &S, fractions: &[f64]) -> Vec<FidelityPo
             // partition, so the union is a uniform subsample of the domain.
             let target = (total as f64 * fraction).round() as u64;
             let mut prefix: Vec<Particle> = Vec::with_capacity(target as usize);
-            for entry in &reader.meta.entries {
-                let file_take =
-                    spio_format::LodParams::file_prefix(entry.particle_count, total, target);
-                let (_, end) = spio_format::data_file::payload_range(0, file_take as usize);
-                let bytes = storage
-                    .read_range(&entry.file_name(), 0, end)
+            for idx in 0..reader.meta.entries.len() {
+                let (ps, _) = reader
+                    .fetch_prefix(storage, idx, target)
                     .expect("prefix read");
-                let (_, ps) = spio_format::data_file::decode_prefix(&bytes, file_take as usize)
-                    .expect("prefix decode");
                 prefix.extend(ps);
             }
             let actual_fraction = prefix.len() as f64 / total as f64;

@@ -38,7 +38,7 @@ pub use grid::{AggregationGrid, Partition};
 pub use plan::{ReadPlan, WritePlan};
 pub use reader::{
     append_box_hits, BoxQueryReader, DatasetReader, FileOutcome, LodCursor, LodReader, PartialRead,
-    RestartReader,
+    Query, RestartReader, ScanPolicy,
 };
 pub use retry::{RetryPolicy, RetryStorage};
 pub use shuffle::LodOrder;

@@ -8,6 +8,10 @@
 //! most particles. LOD reads exploit the shuffled layout: a file prefix is
 //! a uniform subsample, and appending the next level is a further
 //! sequential read.
+//!
+//! Every query read is [`DatasetReader::select`] → [`DatasetReader::fetch`]
+//! → [`Query::retain`]. [`DatasetReader::scan`] runs the steps serially;
+//! the `spio-serve` engine runs the same steps on a pool behind a cache.
 
 use crate::stats::ReadStats;
 use crate::storage::Storage;
@@ -15,7 +19,7 @@ use spio_comm::Comm;
 use spio_format::data_file::{
     decode_data_file, footer_range, payload_range, DataFileHeader, HEADER_BYTES,
 };
-use spio_format::{LodParams, SpatialMetadata, META_FILE_NAME};
+use spio_format::{FileEntry, LodParams, SpatialIndex, SpatialMetadata, META_FILE_NAME};
 use spio_trace::Trace;
 use spio_types::{Aabb3, DomainDecomposition, GridDims, Particle, Rank, SpioError, PARTICLE_BYTES};
 use spio_util::Crc32;
@@ -31,21 +35,112 @@ pub mod phases {
     pub const PARTIAL: &str = "read:partial";
 }
 
-/// A handle to a written dataset: the parsed spatial metadata.
+/// One query a reader can answer.
+#[derive(Debug, Clone)]
+pub enum Query {
+    /// All particles inside the box (the paper's §4 read).
+    Box(Aabb3),
+    /// A uniform subsample of the region: LOD prefixes through `level` of
+    /// the intersecting files, filtered to the region.
+    Lod { region: Aabb3, level: u32 },
+    /// Particles inside the region with density in `[lo, hi]` (§3.5
+    /// attribute-range extension).
+    Density { region: Aabb3, lo: f64, hi: f64 },
+}
+
+impl Query {
+    /// The spatial region the query touches.
+    pub fn region(&self) -> &Aabb3 {
+        match self {
+            Query::Box(r) | Query::Lod { region: r, .. } | Query::Density { region: r, .. } => r,
+        }
+    }
+
+    /// Short kind label (used as the storage-op "file" in traces).
+    pub fn label(&self) -> &'static str {
+        match self {
+            Query::Box(_) => "box",
+            Query::Lod { .. } => "lod",
+            Query::Density { .. } => "density",
+        }
+    }
+
+    /// The read-phase span ([`phases`]) this query is recorded under.
+    pub fn phase(&self) -> &'static str {
+        match self {
+            Query::Box(_) => phases::BOX,
+            Query::Lod { .. } => phases::LOD,
+            Query::Density { .. } => phases::RANGE,
+        }
+    }
+
+    /// The LOD level each file is read through: `None` means whole files.
+    pub fn lod_level(&self) -> Option<u32> {
+        match self {
+            Query::Lod { level, .. } => Some(*level),
+            _ => None,
+        }
+    }
+
+    /// Append the particles of one fetched file (`block`, whose metadata
+    /// box is `file_bounds`) that answer the query, returning how many were
+    /// kept. This is the read path's only box and density filter.
+    pub fn retain(
+        &self,
+        file_bounds: &Aabb3,
+        block: &[Particle],
+        out: &mut Vec<Particle>,
+    ) -> usize {
+        match self {
+            Query::Box(region) | Query::Lod { region, .. } => {
+                append_box_hits(region, file_bounds, block, out)
+            }
+            Query::Density { region, lo, hi } => {
+                let hit =
+                    |p: &&Particle| region.contains(p.position) && (*lo..=*hi).contains(&p.density);
+                let before = out.len();
+                out.extend(block.iter().filter(hit).copied());
+                out.len() - before
+            }
+        }
+    }
+}
+
+/// What a scan does when a selected file cannot be fetched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanPolicy {
+    /// Stop at the first failed file (the strict reads).
+    FailFast,
+    /// Record the failure and go on with the next file.
+    Degrade,
+}
+
+/// Stand-in for file bounds a scan must not trust: no query contains it,
+/// so every particle goes through the per-particle test.
+const UNKNOWN_BOUNDS: Aabb3 = Aabb3 {
+    lo: [f64::NEG_INFINITY; 3],
+    hi: [f64::INFINITY; 3],
+};
+
+/// A handle to a written dataset: the parsed spatial metadata and the
+/// spatial index over its file boxes.
 #[derive(Debug, Clone)]
 pub struct DatasetReader {
     pub meta: SpatialMetadata,
+    index: SpatialIndex,
     trace: Trace,
     rank: Rank,
 }
 
 impl DatasetReader {
     /// Open a dataset by reading and parsing its spatial metadata file
-    /// ("a lightweight I/O task", §4).
+    /// ("a lightweight I/O task", §4) and indexing its file boxes.
     pub fn open<S: Storage>(storage: &S) -> Result<Self, SpioError> {
         let bytes = storage.read_file(META_FILE_NAME)?;
+        let meta = SpatialMetadata::decode(&bytes)?;
         Ok(DatasetReader {
-            meta: SpatialMetadata::decode(&bytes)?,
+            index: SpatialIndex::build(&meta),
+            meta,
             trace: Trace::off(),
             rank: 0,
         })
@@ -69,6 +164,141 @@ impl DatasetReader {
         })
     }
 
+    /// The files `query` must read, ascending: the spatial index's hits,
+    /// and for density queries only the files whose §3.5 attribute range
+    /// overlaps `[lo, hi]`. Files that cannot hold an answer are never
+    /// opened.
+    pub fn select(&self, query: &Query) -> Vec<usize> {
+        let mut files = self.index.query(query.region());
+        if let (Query::Density { lo, hi, .. }, Some(ranges)) = (query, &self.meta.attr_ranges) {
+            files.retain(|&i| ranges[i].density_overlaps(*lo, *hi));
+        }
+        files
+    }
+
+    /// `level` clamped to the dataset's deepest LOD level. Every level past
+    /// the end reads the same (whole) prefix; clamping gives that prefix
+    /// one name.
+    pub fn clamp_level(&self, level: u32) -> u32 {
+        let levels = self.meta.lod.num_levels(1, self.meta.total_particles);
+        level.min(levels.saturating_sub(1))
+    }
+
+    /// Read and verify file `idx`: the whole file when `lod_level` is
+    /// `None` (one `read_file`, checked by the decoder), else its prefix
+    /// through that level for a single reader.
+    pub fn fetch<S: Storage>(
+        &self,
+        storage: &S,
+        idx: usize,
+        lod_level: Option<u32>,
+    ) -> Result<(Vec<Particle>, ReadStats), SpioError> {
+        let meta = &self.meta;
+        if let Some(level) = lod_level {
+            let global = meta.lod.prefix_len(1, level, meta.total_particles);
+            return self.fetch_prefix(storage, idx, global);
+        }
+        let bytes = storage.read_file(&meta.entries[idx].file_name())?;
+        let (_, particles) = decode_data_file(&bytes)?;
+        let stats = ReadStats {
+            files_opened: 1,
+            bytes_read: bytes.len() as u64,
+            ..ReadStats::default()
+        };
+        Ok((particles, stats))
+    }
+
+    /// File `idx`'s proportional share of a dataset-wide prefix of
+    /// `global_prefix` particles: header, checksum footer and one ranged
+    /// payload read, checked chunk by chunk.
+    pub fn fetch_prefix<S: Storage>(
+        &self,
+        storage: &S,
+        idx: usize,
+        global_prefix: u64,
+    ) -> Result<(Vec<Particle>, ReadStats), SpioError> {
+        let (entry, total) = (&self.meta.entries[idx], self.meta.total_particles);
+        let target = LodParams::file_prefix(entry.particle_count, total, global_prefix);
+        let mut stats = ReadStats::default();
+        let particles = PrefixReader::new(entry).extend_to(storage, target, &mut stats)?;
+        Ok((particles, stats))
+    }
+
+    /// The serial read: fetch each of `files` in order and keep what
+    /// `query` retains. [`ScanPolicy::FailFast`] stops at the first failed
+    /// file; [`ScanPolicy::Degrade`] records it and reads on.
+    pub fn scan<S: Storage>(
+        &self,
+        storage: &S,
+        files: &[usize],
+        query: &Query,
+        policy: ScanPolicy,
+    ) -> PartialRead {
+        self.scan_files(storage, files, query, policy, true)
+    }
+
+    /// [`DatasetReader::scan`] over [`DatasetReader::select`]'s files.
+    pub fn query<S: Storage>(&self, storage: &S, query: &Query, policy: ScanPolicy) -> PartialRead {
+        self.scan(storage, &self.select(query), query, policy)
+    }
+
+    fn scan_files<S: Storage>(
+        &self,
+        storage: &S,
+        files: &[usize],
+        query: &Query,
+        policy: ScanPolicy,
+        trust_bounds: bool,
+    ) -> PartialRead {
+        let t0 = Instant::now();
+        let mut read = PartialRead::default();
+        for &idx in files {
+            let entry = &self.meta.entries[idx];
+            let mut outcome = FileOutcome {
+                file: entry.file_name(),
+                ..FileOutcome::default()
+            };
+            match self.fetch(storage, idx, query.lod_level()) {
+                Ok((block, fetched)) => {
+                    let bounds = if trust_bounds {
+                        &entry.bounds
+                    } else {
+                        &UNKNOWN_BOUNDS
+                    };
+                    let kept = query.retain(bounds, &block, &mut read.particles);
+                    read.stats.files_opened += fetched.files_opened;
+                    read.stats.bytes_read += fetched.bytes_read;
+                    // Discards come from what was decoded, never from the
+                    // metadata's count, which may be stale or tampered.
+                    read.stats.particles_discarded += (block.len() - kept) as u64;
+                    outcome.particles = kept as u64;
+                }
+                Err(error) if policy == ScanPolicy::FailFast => {
+                    outcome.error = Some(error);
+                    read.outcomes.push(outcome);
+                    return read;
+                }
+                Err(error) => {
+                    // Degraded-file events let `spio report` count how many
+                    // holes a partial query tolerated.
+                    self.trace
+                        .fault(self.rank, "partial_read", &outcome.file, false);
+                    outcome.error = Some(error);
+                }
+            }
+            read.outcomes.push(outcome);
+        }
+        read.stats.particles_read = read.particles.len() as u64;
+        read.stats.time = t0.elapsed();
+        let phase = match (trust_bounds, policy) {
+            (false, _) => phases::SCAN,
+            (true, ScanPolicy::Degrade) => phases::PARTIAL,
+            (true, ScanPolicy::FailFast) => query.phase(),
+        };
+        self.trace.phase(self.rank, phase, read.stats.time);
+        read
+    }
+
     /// Box query using spatial metadata: open only the files whose bounds
     /// intersect `query`, filter particles to the query box. Files fully
     /// contained in the query skip the per-particle filter.
@@ -77,22 +307,8 @@ impl DatasetReader {
         storage: &S,
         query: &Aabb3,
     ) -> Result<(Vec<Particle>, ReadStats), SpioError> {
-        let t0 = Instant::now();
-        let mut stats = ReadStats::default();
-        let mut out = Vec::new();
-        for idx in self.meta.files_intersecting(query) {
-            let entry = &self.meta.entries[idx];
-            let bytes = storage.read_file(&entry.file_name())?;
-            stats.files_opened += 1;
-            stats.bytes_read += bytes.len() as u64;
-            let (_, particles) = decode_data_file(&bytes)?;
-            let kept = append_box_hits(query, &entry.bounds, &particles, &mut out);
-            stats.particles_discarded += (particles.len() - kept) as u64;
-        }
-        stats.particles_read = out.len() as u64;
-        stats.time = t0.elapsed();
-        self.trace.phase(self.rank, phases::BOX, stats.time);
-        Ok((out, stats))
+        self.query(storage, &Query::Box(*query), ScanPolicy::FailFast)
+            .into_result()
     }
 
     /// The spatially unaware baseline read (Fig. 7's "without spatial
@@ -105,26 +321,10 @@ impl DatasetReader {
         storage: &S,
         query: &Aabb3,
     ) -> Result<(Vec<Particle>, ReadStats), SpioError> {
-        let t0 = Instant::now();
-        let mut stats = ReadStats::default();
-        let mut out = Vec::new();
-        for entry in &self.meta.entries {
-            let bytes = storage.read_file(&entry.file_name())?;
-            stats.files_opened += 1;
-            stats.bytes_read += bytes.len() as u64;
-            let (_, particles) = decode_data_file(&bytes)?;
-            // Count discards from what was actually decoded, not from the
-            // metadata's particle count: a tampered or stale metadata entry
-            // must not underflow this subtraction.
-            let decoded = particles.len();
-            let before = out.len();
-            out.extend(particles.into_iter().filter(|p| query.contains(p.position)));
-            stats.particles_discarded += (decoded - (out.len() - before)) as u64;
-        }
-        stats.particles_read = out.len() as u64;
-        stats.time = t0.elapsed();
-        self.trace.phase(self.rank, phases::SCAN, stats.time);
-        Ok((out, stats))
+        let all: Vec<usize> = (0..self.meta.entries.len()).collect();
+        let q = Query::Box(*query);
+        self.scan_files(storage, &all, &q, ScanPolicy::FailFast, false)
+            .into_result()
     }
 
     /// Attribute range-query (§3.5 extension): return particles inside
@@ -139,29 +339,13 @@ impl DatasetReader {
         density_lo: f64,
         density_hi: f64,
     ) -> Result<(Vec<Particle>, ReadStats), SpioError> {
-        let t0 = Instant::now();
-        let mut stats = ReadStats::default();
-        let mut out = Vec::new();
-        for idx in self
-            .meta
-            .files_for_range_query(query, density_lo, density_hi)
-        {
-            let entry = &self.meta.entries[idx];
-            let bytes = storage.read_file(&entry.file_name())?;
-            stats.files_opened += 1;
-            stats.bytes_read += bytes.len() as u64;
-            let (_, particles) = decode_data_file(&bytes)?;
-            let decoded = particles.len();
-            let before = out.len();
-            out.extend(particles.into_iter().filter(|p| {
-                query.contains(p.position) && p.density >= density_lo && p.density <= density_hi
-            }));
-            stats.particles_discarded += (decoded - (out.len() - before)) as u64;
-        }
-        stats.particles_read = out.len() as u64;
-        stats.time = t0.elapsed();
-        self.trace.phase(self.rank, phases::RANGE, stats.time);
-        Ok((out, stats))
+        let query = Query::Density {
+            region: *query,
+            lo: density_lo,
+            hi: density_hi,
+        };
+        self.query(storage, &query, ScanPolicy::FailFast)
+            .into_result()
     }
 
     /// Read the entire dataset.
@@ -178,56 +362,12 @@ impl DatasetReader {
     /// files that *did* read land in [`PartialRead::particles`]. A
     /// visualization client renders what arrived and reports the holes.
     pub fn read_box_partial<S: Storage>(&self, storage: &S, query: &Aabb3) -> PartialRead {
-        let t0 = Instant::now();
-        let mut stats = ReadStats::default();
-        let mut out = Vec::new();
-        let mut outcomes = Vec::new();
-        for idx in self.meta.files_intersecting(query) {
-            let entry = &self.meta.entries[idx];
-            let name = entry.file_name();
-            let decoded = storage
-                .read_file(&name)
-                .and_then(|bytes| {
-                    stats.files_opened += 1;
-                    stats.bytes_read += bytes.len() as u64;
-                    decode_data_file(&bytes)
-                })
-                .map(|(_, particles)| particles);
-            match decoded {
-                Ok(particles) => {
-                    let kept = append_box_hits(query, &entry.bounds, &particles, &mut out);
-                    stats.particles_discarded += (particles.len() - kept) as u64;
-                    outcomes.push(FileOutcome {
-                        file: name,
-                        particles: kept as u64,
-                        error: None,
-                    });
-                }
-                Err(e) => {
-                    // Degraded-file events let `spio report` count how many
-                    // holes a partial query tolerated.
-                    self.trace.fault(self.rank, "partial_read", &name, false);
-                    outcomes.push(FileOutcome {
-                        file: name,
-                        particles: 0,
-                        error: Some(e),
-                    });
-                }
-            }
-        }
-        stats.particles_read = out.len() as u64;
-        stats.time = t0.elapsed();
-        self.trace.phase(self.rank, phases::PARTIAL, stats.time);
-        PartialRead {
-            particles: out,
-            outcomes,
-            stats,
-        }
+        self.query(storage, &Query::Box(*query), ScanPolicy::Degrade)
     }
 }
 
-/// Per-file result of a [`DatasetReader::read_box_partial`] query.
-#[derive(Debug)]
+/// Per-file result of a [`DatasetReader::scan`].
+#[derive(Debug, Default)]
 pub struct FileOutcome {
     /// Data-file name.
     pub file: String,
@@ -243,13 +383,13 @@ impl FileOutcome {
     }
 }
 
-/// Result of a degraded box query: whatever could be read, plus what
-/// couldn't and why.
-#[derive(Debug)]
+/// Result of a scan: whatever could be read, plus what couldn't and why.
+#[derive(Debug, Default)]
 pub struct PartialRead {
     /// Particles from every file that read and decoded cleanly.
     pub particles: Vec<Particle>,
-    /// One entry per file the query touched, in metadata order.
+    /// One entry per file the scan reached, in scan order. A fail-fast
+    /// scan ends at its first failure.
     pub outcomes: Vec<FileOutcome>,
     /// I/O stats over the successful reads.
     pub stats: ReadStats,
@@ -266,6 +406,15 @@ impl PartialRead {
     pub fn failures(&self) -> Vec<&FileOutcome> {
         self.outcomes.iter().filter(|o| !o.is_ok()).collect()
     }
+
+    /// The strict reads' answer: the particles and stats, or the first
+    /// failed file's error.
+    pub fn into_result(self) -> Result<(Vec<Particle>, ReadStats), SpioError> {
+        match self.outcomes.into_iter().find_map(|o| o.error) {
+            Some(error) => Err(error),
+            None => Ok((self.particles, self.stats)),
+        }
+    }
 }
 
 fn query_contains_box(query: &Aabb3, b: &Aabb3) -> bool {
@@ -276,10 +425,8 @@ fn query_contains_box(query: &Aabb3, b: &Aabb3) -> bool {
 /// returning how many were kept. Files whose bounds lie fully inside the
 /// query skip the per-particle containment test.
 ///
-/// This is the single filtering step shared by [`DatasetReader::read_box`],
-/// [`DatasetReader::read_box_partial`], and the `spio-serve` concurrent
-/// executor — one implementation is what makes the concurrent engine's
-/// results byte-identical to the serial read path.
+/// This is the box step of [`Query::retain`], shared by the serial scan
+/// and the `spio-serve` concurrent executor.
 pub fn append_box_hits(
     query: &Aabb3,
     file_bounds: &Aabb3,
@@ -358,25 +505,12 @@ impl RestartReader {
     }
 }
 
-/// Progressive level-of-detail reads over a set of files (§4, §5.4).
-///
-/// The cursor tracks a per-file prefix offset. Each level extends every
-/// file's prefix to the proportional share of the global level boundary, so
-/// after reading through level `l` the union across all readers is a
-/// uniform subsample of `prefix_len(n, l)` particles.
-pub struct LodCursor {
-    files: Vec<LodFile>,
-    /// Total particles in the dataset (not just this cursor's files).
-    dataset_total: u64,
-    lod: LodParams,
-    /// Number of reader processes `n` in the LOD formula.
-    nreaders: u64,
-    next_level: u32,
-    trace: Trace,
-    rank: Rank,
-}
-
-struct LodFile {
+/// One data file read as a growing payload prefix: the header (and, for v2
+/// files, the checksum footer) on first touch, then contiguous ranged
+/// payload reads verified chunk by chunk. [`DatasetReader::fetch`] reads an
+/// LOD prefix with one; [`LodCursor`] extends one per file per level.
+#[derive(Clone)]
+struct PrefixReader {
     name: String,
     total: u64,
     read_so_far: u64,
@@ -384,6 +518,7 @@ struct LodFile {
 }
 
 /// Per-file integrity state for ranged LOD reads.
+#[derive(Clone)]
 enum FileVerify {
     /// Header not fetched yet — resolved on this file's first range read.
     Unopened,
@@ -394,6 +529,80 @@ enum FileVerify {
     Checksummed(ChunkVerifier),
 }
 
+impl PrefixReader {
+    fn new(entry: &FileEntry) -> Self {
+        PrefixReader {
+            name: entry.file_name(),
+            total: entry.particle_count,
+            read_so_far: 0,
+            verify: FileVerify::Unopened,
+        }
+    }
+
+    /// Extend the prefix to `target` particles, returning the particles
+    /// newly read (none when the prefix already reaches `target`). On error
+    /// the reader is left part-way; callers that retry start from a copy
+    /// taken before the call.
+    fn extend_to<S: Storage>(
+        &mut self,
+        storage: &S,
+        target: u64,
+        stats: &mut ReadStats,
+    ) -> Result<Vec<Particle>, SpioError> {
+        if target <= self.read_so_far {
+            return Ok(Vec::new());
+        }
+        if matches!(self.verify, FileVerify::Unopened) {
+            self.verify = self.open(storage, stats)?;
+        }
+        let (start, end) = payload_range(self.read_so_far as usize, target as usize);
+        let bytes = storage.read_range(&self.name, start, end)?;
+        stats.files_opened += 1;
+        stats.bytes_read += bytes.len() as u64;
+        if let FileVerify::Checksummed(v) = &mut self.verify {
+            v.absorb(&self.name, &bytes)?;
+            if target == self.total {
+                v.finish(&self.name)?;
+            }
+        }
+        self.read_so_far = target;
+        Ok(spio_types::particle::decode_particles(&bytes))
+    }
+
+    /// First touch: fetch and validate the header, and for checksummed
+    /// (v2) files also the tiny checksum footer — two small ranged reads,
+    /// far cheaper than reading the file whole, which is the point of LOD
+    /// prefix reads.
+    fn open<S: Storage>(
+        &self,
+        storage: &S,
+        stats: &mut ReadStats,
+    ) -> Result<FileVerify, SpioError> {
+        let header_bytes = storage.read_range(&self.name, 0, HEADER_BYTES as u64)?;
+        stats.bytes_read += header_bytes.len() as u64;
+        let header = DataFileHeader::decode(&header_bytes)?;
+        if header.particle_count != self.total {
+            return Err(SpioError::Format(format!(
+                "'{}' header declares {} particles but metadata says {}",
+                self.name, header.particle_count, self.total
+            )));
+        }
+        if !header.has_checksums() {
+            return Ok(FileVerify::Plain);
+        }
+        let (start, end) = footer_range(&header);
+        let footer = storage.read_range(&self.name, start, end)?;
+        stats.bytes_read += footer.len() as u64;
+        let crcs = footer
+            .as_chunks::<4>()
+            .0
+            .iter()
+            .map(|c| u32::from_le_bytes(*c))
+            .collect();
+        Ok(FileVerify::Checksummed(ChunkVerifier::new(&header, crcs)))
+    }
+}
+
 /// Streams payload bytes and verifies each completed checksum chunk.
 ///
 /// LOD levels extend a file's prefix by contiguous ranged reads, so a
@@ -402,6 +611,7 @@ enum FileVerify {
 /// is verified when the prefix reaches the end of the file; a prefix that
 /// stops mid-chunk leaves only that chunk's tail unverified — without
 /// re-reading anything, that is the strongest guarantee available.
+#[derive(Clone)]
 struct ChunkVerifier {
     chunk_bytes: u64,
     crcs: Vec<u32>,
@@ -464,24 +674,33 @@ impl ChunkVerifier {
     }
 }
 
+/// Progressive level-of-detail reads over a set of files (§4, §5.4).
+///
+/// The cursor keeps one growing prefix per file. Each level extends every
+/// file's prefix to the proportional share of the global level boundary, so
+/// after reading through level `l` the union across all readers is a
+/// uniform subsample of `prefix_len(n, l)` particles.
+pub struct LodCursor {
+    files: Vec<PrefixReader>,
+    /// Total particles in the dataset (not just this cursor's files).
+    dataset_total: u64,
+    lod: LodParams,
+    /// Number of reader processes `n` in the LOD formula.
+    nreaders: u64,
+    next_level: u32,
+    trace: Trace,
+    rank: Rank,
+}
+
 impl LodCursor {
     /// Build a cursor over the metadata entries at `file_indices`
     /// (typically this reader's share of the files).
     pub fn new(meta: &SpatialMetadata, file_indices: &[usize], nreaders: usize) -> Self {
-        let files = file_indices
-            .iter()
-            .map(|&i| {
-                let e = &meta.entries[i];
-                LodFile {
-                    name: e.file_name(),
-                    total: e.particle_count,
-                    read_so_far: 0,
-                    verify: FileVerify::Unopened,
-                }
-            })
-            .collect();
         LodCursor {
-            files,
+            files: file_indices
+                .iter()
+                .map(|&i| PrefixReader::new(&meta.entries[i]))
+                .collect(),
             dataset_total: meta.total_particles,
             lod: meta.lod,
             nreaders: nreaders as u64,
@@ -562,6 +781,9 @@ impl LodCursor {
     /// Read the next level: extend every file prefix to its share of the
     /// cumulative level boundary, returning the newly loaded particles.
     /// Returns an empty vector once all levels are consumed.
+    ///
+    /// A level is all-or-nothing: if any file fails, no file's prefix
+    /// advances, so a retry returns the whole level or an error again.
     pub fn read_next_level<S: Storage>(
         &mut self,
         storage: &S,
@@ -576,65 +798,17 @@ impl LodCursor {
         let global_prefix = self
             .lod
             .prefix_len(self.nreaders, self.next_level, self.dataset_total);
-        for f in &mut self.files {
+        let mut next = self.files.clone();
+        for f in &mut next {
             let target = LodParams::file_prefix(f.total, self.dataset_total, global_prefix);
-            if target > f.read_so_far {
-                // First touch: fetch the header (and, for v2 files, the
-                // checksum footer) so subsequent ranged payload reads can
-                // be verified incrementally.
-                if matches!(f.verify, FileVerify::Unopened) {
-                    f.verify = Self::open_file(storage, f, &mut stats)?;
-                }
-                let (start, end) = payload_range(f.read_so_far as usize, target as usize);
-                let bytes = storage.read_range(&f.name, start, end)?;
-                stats.files_opened += 1;
-                stats.bytes_read += bytes.len() as u64;
-                if let FileVerify::Checksummed(v) = &mut f.verify {
-                    v.absorb(&f.name, &bytes)?;
-                    if target == f.total {
-                        v.finish(&f.name)?;
-                    }
-                }
-                out.extend(spio_types::particle::decode_particles(&bytes));
-                f.read_so_far = target;
-            }
+            out.extend(f.extend_to(storage, target, &mut stats)?);
         }
+        self.files = next;
         self.next_level += 1;
         stats.particles_read = out.len() as u64;
         stats.time = t0.elapsed();
         self.trace.phase(self.rank, phases::LOD, stats.time);
         Ok((out, stats))
-    }
-
-    /// First touch of a file: fetch and validate its header, and for
-    /// checksummed (v2) files also the tiny checksum footer — two small
-    /// ranged reads, far cheaper than reading the file whole, which is the
-    /// point of LOD prefix reads.
-    fn open_file<S: Storage>(
-        storage: &S,
-        f: &LodFile,
-        stats: &mut ReadStats,
-    ) -> Result<FileVerify, SpioError> {
-        let header_bytes = storage.read_range(&f.name, 0, HEADER_BYTES as u64)?;
-        stats.bytes_read += header_bytes.len() as u64;
-        let header = DataFileHeader::decode(&header_bytes)?;
-        if header.particle_count != f.total {
-            return Err(SpioError::Format(format!(
-                "'{}' header declares {} particles but metadata says {}",
-                f.name, header.particle_count, f.total
-            )));
-        }
-        if !header.has_checksums() {
-            return Ok(FileVerify::Plain);
-        }
-        let (start, end) = footer_range(&header);
-        let footer = storage.read_range(&f.name, start, end)?;
-        stats.bytes_read += footer.len() as u64;
-        let crcs = footer
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        Ok(FileVerify::Checksummed(ChunkVerifier::new(&header, crcs)))
     }
 
     /// Read levels `0 ..= level` (from the cursor's current position),
@@ -663,7 +837,7 @@ impl DatasetReader {
     /// each level touches only the relevant files, and within them only
     /// prefix bytes.
     pub fn lod_box_cursor(&self, query: &Aabb3, nreaders: usize) -> LodCursor {
-        let files = self.meta.files_intersecting(query);
+        let files = self.select(&Query::Box(*query));
         LodCursor::new(&self.meta, &files, nreaders).with_trace(self.trace.clone(), self.rank)
     }
 }

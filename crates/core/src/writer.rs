@@ -27,7 +27,7 @@
 
 use crate::adaptive::AdaptiveGrid;
 use crate::grid::AggregationGrid;
-use crate::shuffle::{lod_shuffle, lod_shuffle_parallel, lod_stratify, partition_seed, LodOrder};
+use crate::shuffle::{lod_shuffle, lod_stratify, partition_seed, LodOrder};
 use crate::stats::WriteStats;
 use crate::storage::Storage;
 use spio_comm::{Comm, Tag};
@@ -45,6 +45,7 @@ pub mod flags {
     /// Payload is in stratified (round-robin-over-cells) order.
     pub const STRATIFIED_ORDER: u32 = 1;
     /// Payload was permuted by the keyed parallel shuffle, not Fisher–Yates.
+    /// No longer written; kept so files that carry it still validate.
     pub const KEYED_SHUFFLE: u32 = 2;
 }
 
@@ -99,9 +100,6 @@ pub struct WriterConfig {
     pub balanced: bool,
     /// LOD reordering heuristic (§3.4: random or stratified).
     pub lod_order: LodOrder,
-    /// Use the threaded keyed shuffle instead of serial Fisher–Yates
-    /// (only meaningful for [`LodOrder::Random`]).
-    pub parallel_shuffle: bool,
 }
 
 impl WriterConfig {
@@ -116,7 +114,6 @@ impl WriterConfig {
             adaptive: false,
             balanced: false,
             lod_order: LodOrder::Random,
-            parallel_shuffle: false,
         }
     }
 
@@ -152,11 +149,6 @@ impl WriterConfig {
 
     pub fn with_lod_order(mut self, order: LodOrder) -> Self {
         self.lod_order = order;
-        self
-    }
-
-    pub fn with_parallel_shuffle(mut self, parallel: bool) -> Self {
-        self.parallel_shuffle = parallel;
         self
     }
 }
@@ -241,16 +233,12 @@ impl SpatialWriter {
             let seed = partition_seed(self.config.seed, part_idx);
             let bounds = grid.partitions[part_idx].bounds;
             let mut file_flags = 0u32;
-            match (self.config.lod_order, self.config.parallel_shuffle) {
-                (LodOrder::Stratified, _) => {
+            match self.config.lod_order {
+                LodOrder::Stratified => {
                     lod_stratify(&mut buffer, &bounds, seed);
                     file_flags |= flags::STRATIFIED_ORDER;
                 }
-                (LodOrder::Random, true) => {
-                    lod_shuffle_parallel(&mut buffer, seed);
-                    file_flags |= flags::KEYED_SHUFFLE;
-                }
-                (LodOrder::Random, false) => lod_shuffle(&mut buffer, seed),
+                LodOrder::Random => lod_shuffle(&mut buffer, seed),
             }
             stats.shuffle_time = t0.elapsed();
             self.trace.phase(me, phases::SHUFFLE, stats.shuffle_time);
@@ -960,9 +948,11 @@ mod tests {
     #[test]
     fn stratified_and_parallel_orders_write_valid_datasets() {
         use crate::shuffle::LodOrder;
-        for (order, parallel, expect_flags) in [
-            (LodOrder::Stratified, false, super::flags::STRATIFIED_ORDER),
-            (LodOrder::Random, true, super::flags::KEYED_SHUFFLE),
+        // Random order is serial Fisher–Yates: no order flag, and never the
+        // retired keyed-shuffle flag.
+        for (order, expect_flags) in [
+            (LodOrder::Stratified, super::flags::STRATIFIED_ORDER),
+            (LodOrder::Random, 0),
         ] {
             let d = decomp(4, 4, 1);
             let storage = MemStorage::new();
@@ -971,9 +961,7 @@ mod tests {
                 let particles = spio_workloads_shim::uniform(&d, comm.rank(), 60, 4);
                 let writer = SpatialWriter::new(
                     d.clone(),
-                    WriterConfig::new(PartitionFactor::new(2, 2, 1))
-                        .with_lod_order(order)
-                        .with_parallel_shuffle(parallel),
+                    WriterConfig::new(PartitionFactor::new(2, 2, 1)).with_lod_order(order),
                 );
                 writer.write(&comm, &particles, &s2).unwrap();
             })

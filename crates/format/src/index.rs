@@ -31,6 +31,7 @@ const NO_CHILD: u32 = u32::MAX;
 /// (21 bits per axis is the most `morton3` interleaves into 64 bits).
 const ZRES: f64 = (1u64 << 21) as f64;
 
+#[derive(Debug, Clone)]
 struct Node {
     /// Union of the boxes of every entry under this node.
     bounds: Aabb3,
@@ -43,6 +44,7 @@ struct Node {
 }
 
 /// The immutable index over one dataset's file boxes.
+#[derive(Debug, Clone)]
 pub struct SpatialIndex {
     /// Entry indices sorted along the Z-order curve of their box centers.
     order: Vec<u32>,

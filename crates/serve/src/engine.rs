@@ -1,30 +1,30 @@
 //! The concurrent query engine.
 //!
 //! One [`QueryEngine`] serves many box / LOD / density-range queries
-//! against a single dataset. File selection goes through the
-//! [`SpatialIndex`] (built once at open), decoded payloads are reused
-//! across queries through the [`BlockCache`], and per-file decode+filter
-//! work fans across the [`WorkerPool`]. An [`AdmissionGate`] bounds the
-//! number of queries in flight.
+//! against a single dataset. It runs the serial reader's steps —
+//! [`DatasetReader::select`], [`DatasetReader::fetch`] and
+//! [`Query::retain`] — and adds only scheduling and caching: decoded
+//! blocks are reused across queries through the [`BlockCache`], per-file
+//! fetch+filter jobs fan across the [`WorkerPool`], and an
+//! [`AdmissionGate`] bounds the number of queries in flight.
 //!
 //! Failure semantics mirror [`spio_core::DatasetReader::read_box_partial`]:
 //! a corrupt or missing file degrades that file only — it is reported in
 //! [`QueryResult::failures`], never cached, and never poisons the rest of
-//! the query. Results are assembled in ascending file order with the same
-//! shared filter ([`spio_core::append_box_hits`]) the serial reader uses,
-//! so a complete concurrent result is byte-identical to the serial one.
+//! the query. Results are assembled in ascending file order, so a complete
+//! concurrent result is byte-identical to the serial scan.
 
 use crate::cache::{BlockCache, BlockKey, CacheStats};
 use crate::pool::{AdmissionGate, WorkerPool};
-use spio_core::reader::phases as read_phases;
-use spio_core::{append_box_hits, DatasetReader, LodCursor, Storage};
-use spio_format::data_file::decode_data_file;
-use spio_format::{SpatialIndex, SpatialMetadata};
+use spio_core::{DatasetReader, Storage};
+use spio_format::SpatialMetadata;
 use spio_trace::{Counter, Histogram, Trace};
-use spio_types::{Aabb3, Particle, SpioError};
+use spio_types::{Particle, SpioError};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+pub use spio_core::Query;
 
 /// Metric names the engine publishes (the cache adds its own, see
 /// [`crate::cache::metric_names`]).
@@ -60,37 +60,6 @@ impl Default for ServeConfig {
             max_inflight: 8,
             cache_bytes: 64 << 20,
             cache_shards: 8,
-        }
-    }
-}
-
-/// One query a client can issue.
-#[derive(Debug, Clone)]
-pub enum Query {
-    /// All particles inside the box (the paper's §4 read).
-    Box(Aabb3),
-    /// A uniform subsample of the region: LOD prefixes through `level` of
-    /// the intersecting files, filtered to the region.
-    Lod { region: Aabb3, level: u32 },
-    /// Particles inside the region with density in `[lo, hi]` (§3.5
-    /// attribute-range extension).
-    Density { region: Aabb3, lo: f64, hi: f64 },
-}
-
-impl Query {
-    /// The spatial region the query touches.
-    pub fn region(&self) -> &Aabb3 {
-        match self {
-            Query::Box(r) | Query::Lod { region: r, .. } | Query::Density { region: r, .. } => r,
-        }
-    }
-
-    /// Short kind label (used as the storage-op "file" in traces).
-    pub fn label(&self) -> &'static str {
-        match self {
-            Query::Box(_) => "box",
-            Query::Lod { .. } => "lod",
-            Query::Density { .. } => "density",
         }
     }
 }
@@ -132,19 +101,15 @@ impl QueryResult {
 
 struct EngineShared<S> {
     storage: S,
-    meta: SpatialMetadata,
-    index: SpatialIndex,
+    reader: DatasetReader,
     cache: BlockCache,
     trace: Trace,
-    /// Dataset-wide LOD level count for the single-reader prefix math
-    /// (levels are canonicalized against this before cache lookup).
-    lod_levels: u32,
     query_count: Counter,
     partial_queries: Counter,
     query_latency: Histogram,
 }
 
-/// Result of one file's decode+filter job.
+/// Result of one file's fetch+filter job.
 struct FileSlot {
     kept: Vec<Particle>,
     bytes_read: u64,
@@ -152,74 +117,22 @@ struct FileSlot {
 }
 
 impl<S: Storage + 'static> EngineShared<S> {
-    /// Files this query must touch, ascending — the index-accelerated
-    /// equivalent of the metadata's linear selection scans.
-    fn select_files(&self, query: &Query) -> Vec<usize> {
-        let mut files = self.index.query(query.region());
-        if let Query::Density { lo, hi, .. } = query {
-            if let Some(ranges) = &self.meta.attr_ranges {
-                files.retain(|&i| ranges[i].density_overlaps(*lo, *hi));
-            }
-        }
-        files
-    }
-
-    /// The canonical cache key for this query against file `idx`.
-    fn block_key(&self, idx: usize, query: &Query) -> BlockKey {
-        BlockKey {
-            file: idx as u32,
-            lod_level: match query {
-                Query::Lod { level, .. } => Some((*level).min(self.lod_levels.saturating_sub(1))),
-                _ => None,
-            },
-        }
-    }
-
-    /// Fetch a decoded block through the cache, loading (and verifying)
-    /// from storage on miss. Only clean decodes are admitted to the cache.
-    fn fetch_block(&self, key: BlockKey) -> Result<(Arc<Vec<Particle>>, u64, bool), SpioError> {
-        if let Some(block) = self.cache.get(&key) {
-            return Ok((block, 0, true));
-        }
+    /// One file's job: the cached block, or on a miss the serial reader's
+    /// fetch (only clean fetches are admitted to the cache), then the
+    /// query's filter. `key` carries the canonical LOD level.
+    fn run_file(&self, key: BlockKey, query: &Query) -> Result<FileSlot, SpioError> {
         let idx = key.file as usize;
-        let (particles, bytes_read) = match key.lod_level {
+        let (block, bytes_read, cache_hit) = match self.cache.get(&key) {
+            Some(block) => (block, 0, true),
             None => {
-                let bytes = self
-                    .storage
-                    .read_file(&self.meta.entries[idx].file_name())?;
-                let n = bytes.len() as u64;
-                let (_, particles) = decode_data_file(&bytes)?;
-                (particles, n)
-            }
-            Some(level) => {
-                // The LOD cursor's ranged reads verify checksum chunks
-                // incrementally, so prefix blocks get the same integrity
-                // guarantee as full files.
-                let mut cursor = LodCursor::new(&self.meta, &[idx], 1);
-                let (particles, stats) = cursor.read_through_level(&self.storage, level)?;
-                (particles, stats.bytes_read)
+                let (particles, stats) = self.reader.fetch(&self.storage, idx, key.lod_level)?;
+                let block = Arc::new(particles);
+                self.cache.insert(key, Arc::clone(&block));
+                (block, stats.bytes_read, false)
             }
         };
-        let block = Arc::new(particles);
-        self.cache.insert(key, Arc::clone(&block));
-        Ok((block, bytes_read, false))
-    }
-
-    /// Decode (through the cache) and filter one file for `query`.
-    fn run_file(&self, idx: usize, query: &Query) -> Result<FileSlot, SpioError> {
-        let (block, bytes_read, cache_hit) = self.fetch_block(self.block_key(idx, query))?;
         let mut kept = Vec::new();
-        match query {
-            Query::Box(region) | Query::Lod { region, .. } => {
-                append_box_hits(region, &self.meta.entries[idx].bounds, &block, &mut kept);
-            }
-            Query::Density { region, lo, hi } => kept.extend(
-                block
-                    .iter()
-                    .filter(|p| region.contains(p.position) && p.density >= *lo && p.density <= *hi)
-                    .copied(),
-            ),
-        }
+        query.retain(&self.reader.meta.entries[idx].bounds, &block, &mut kept);
         Ok(FileSlot {
             kept,
             bytes_read,
@@ -246,16 +159,12 @@ impl<S: Storage + 'static> QueryEngine<S> {
     /// counters, and degraded-file faults land in `trace` and its metrics
     /// registry.
     pub fn open_traced(storage: S, config: ServeConfig, trace: Trace) -> Result<Self, SpioError> {
-        let meta = DatasetReader::open(&storage)?.meta;
+        let reader = DatasetReader::open(&storage)?;
         let metrics = trace.metrics();
-        let index = SpatialIndex::build(&meta);
-        let lod_levels = meta.lod.num_levels(1, meta.total_particles);
         let shared = Arc::new(EngineShared {
             cache: BlockCache::new(config.cache_bytes, config.cache_shards, &metrics),
             storage,
-            index,
-            lod_levels,
-            meta,
+            reader,
             trace,
             query_count: metrics.counter(metric_names::QUERIES),
             partial_queries: metrics.counter(metric_names::PARTIAL),
@@ -270,7 +179,7 @@ impl<S: Storage + 'static> QueryEngine<S> {
 
     /// The dataset's metadata.
     pub fn meta(&self) -> &SpatialMetadata {
-        &self.shared.meta
+        &self.shared.reader.meta
     }
 
     /// Current block-cache statistics.
@@ -295,14 +204,21 @@ impl<S: Storage + 'static> QueryEngine<S> {
         let _permit = self.gate.acquire();
         let t0 = Instant::now();
         let sh = &self.shared;
-        let files = sh.select_files(query);
+        let files = sh.reader.select(query);
+        // Every level past the deepest reads the same prefix; one cache
+        // key per prefix.
+        let lod_level = query.lod_level().map(|l| sh.reader.clamp_level(l));
         let (tx, rx) = channel();
         for (slot, &idx) in files.iter().enumerate() {
             let tx = tx.clone();
             let sh = Arc::clone(&self.shared);
             let query = query.clone();
+            let key = BlockKey {
+                file: idx as u32,
+                lod_level,
+            };
             self.pool.submit(move || {
-                let result = sh.run_file(idx, &query);
+                let result = sh.run_file(key, &query);
                 // The receiver only disappears if the query thread died;
                 // dropping the result is then the right thing.
                 let _ = tx.send((slot, result));
@@ -345,7 +261,7 @@ impl<S: Storage + 'static> QueryEngine<S> {
                     // A failed file is by definition not served from cache
                     // (faults are never admitted), so it counts as a miss.
                     stats.cache_misses += 1;
-                    let file = sh.meta.entries[files[slot]].file_name();
+                    let file = sh.reader.meta.entries[files[slot]].file_name();
                     sh.trace.fault(client, "serve.degraded", &file, false);
                     failures.push(FileFailure { file, error });
                 }
@@ -357,7 +273,7 @@ impl<S: Storage + 'static> QueryEngine<S> {
         if !failures.is_empty() {
             sh.partial_queries.inc();
         }
-        sh.trace.phase(client, read_phases::BOX, stats.latency);
+        sh.trace.phase(client, query.phase(), stats.latency);
         sh.trace.storage_op(
             client,
             "serve.query",
@@ -377,9 +293,10 @@ impl<S: Storage + 'static> QueryEngine<S> {
 mod tests {
     use super::*;
     use spio_comm::{run_threaded_collect, Comm};
-    use spio_core::{MemStorage, SpatialWriter, WriterConfig};
+    use spio_core::reader::phases as read_phases;
+    use spio_core::{MemStorage, ScanPolicy, SpatialWriter, WriterConfig};
     use spio_types::particle::encode_particles;
-    use spio_types::{DomainDecomposition, GridDims, PartitionFactor};
+    use spio_types::{Aabb3, DomainDecomposition, GridDims, PartitionFactor};
 
     /// Same 4×4×1 grid / 2×2 aggregation dataset the core reader tests use.
     fn build_dataset(per_rank: usize) -> MemStorage {
@@ -460,24 +377,19 @@ mod tests {
     }
 
     #[test]
-    fn lod_results_match_serial_cursor() {
+    fn lod_results_match_serial_scan() {
         let storage = build_dataset(64);
         let serial = DatasetReader::open(&storage).unwrap();
         let engine = QueryEngine::open(storage.clone(), ServeConfig::default()).unwrap();
         let region = Aabb3::new([0.05, 0.05, 0.0], [0.7, 0.7, 1.0]);
-        let deepest = serial.lod_box_cursor(&region, 1).num_levels() - 1;
+        let deepest = serial.clamp_level(u32::MAX);
         for level in [0u32, 1, 99] {
-            let capped = level.min(deepest);
-            // Oracle: per intersecting file (ascending), the prefix through
-            // `capped`, filtered to the region — the engine's exact
-            // assembly order.
-            let mut expect = Vec::new();
-            for idx in serial.meta.files_intersecting(&region) {
-                let mut cursor = LodCursor::new(&serial.meta, &[idx], 1);
-                let (prefix, _) = cursor.read_through_level(&storage, capped).unwrap();
-                expect.extend(prefix.into_iter().filter(|p| region.contains(p.position)));
-            }
-            let got = engine.execute(&Query::Lod { region, level });
+            let query = Query::Lod { region, level };
+            let (expect, _) = serial
+                .query(&storage, &query, ScanPolicy::FailFast)
+                .into_result()
+                .unwrap();
+            let got = engine.execute(&query);
             assert!(got.is_complete());
             assert_eq!(
                 encode_particles(&got.particles),
@@ -551,5 +463,18 @@ mod tests {
         let report = spio_trace::JobReport::from_snapshot(1, &trace.snapshot()).with_metrics(&m);
         assert!(report.op_latency("serve.query").is_some());
         assert!(report.metric(metric_names::LATENCY).is_some());
+        // Each query kind is recorded under its own read phase.
+        let region = Aabb3::new([0.0; 3], [0.6, 0.6, 1.0]);
+        engine.execute(&Query::Lod { region, level: 1 });
+        engine.execute(&Query::Density {
+            region,
+            lo: 0.0,
+            hi: 10.0,
+        });
+        let report = spio_trace::JobReport::from_snapshot(1, &trace.snapshot());
+        let names = report.phase_names();
+        for phase in [read_phases::BOX, read_phases::LOD, read_phases::RANGE] {
+            assert!(names.contains(&phase), "{phase} missing from {names:?}");
+        }
     }
 }

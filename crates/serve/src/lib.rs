@@ -4,9 +4,10 @@
 //! reads touch few files; this crate is the companion *read service* that
 //! exploits that layout under concurrent load:
 //!
-//! - [`SpatialIndex`](spio_format::SpatialIndex) (built once per open)
-//!   turns "which files intersect this box" into an O(log n + k) probe
-//!   instead of a linear metadata scan;
+//! - [`DatasetReader`](spio_core::DatasetReader) supplies the read path
+//!   the serial reader uses: selection through the spatial index (an
+//!   O(log n + k) probe instead of a linear metadata scan), the verified
+//!   per-file fetch, and the query's filter;
 //! - [`BlockCache`] keeps decoded per-file particle payloads, sharded and
 //!   byte-budgeted, keyed by `(file, LOD prefix level)`;
 //! - [`WorkerPool`] + [`AdmissionGate`] fan per-file work across threads

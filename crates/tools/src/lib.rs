@@ -17,7 +17,7 @@
 
 use spio_core::shuffle::{partition_seed, shuffle_permutation};
 use spio_core::writer::flags;
-use spio_core::{DatasetReader, FsStorage, Storage};
+use spio_core::{DatasetReader, FsStorage, Query, ScanPolicy, Storage};
 use spio_format::data_file::{decode_data_file, DataFileHeader};
 use spio_format::{data_file_name, FileEntry, LodParams, SpatialMetadata, META_FILE_NAME};
 use spio_types::{Aabb3, DomainDecomposition, GridDims, Particle, SpioError};
@@ -255,29 +255,29 @@ pub fn query_lod<S: Storage>(
     level: u32,
 ) -> Result<String, SpioError> {
     let reader = DatasetReader::open(storage)?;
-    let mut cursor = reader.lod_box_cursor(query_box, 1);
-    let levels = cursor.num_levels();
-    if levels == 0 {
+    let query = Query::Lod {
+        region: *query_box,
+        level,
+    };
+    let files = reader.select(&query);
+    if files.is_empty() {
         return Ok("no files intersect the query box\n".to_string());
     }
-    let capped = level.min(levels - 1);
-    let files = reader.meta.files_intersecting(query_box).len();
-    let (loaded, stats) = cursor.read_through_level(storage, capped)?;
-    let matched = loaded
-        .iter()
-        .filter(|p| query_box.contains(p.position))
-        .count();
-    // The cursor issues one incremental range read per file per level, so
-    // the op count exceeds the file count past level 0.
+    let levels = reader.meta.lod.num_levels(1, reader.meta.total_particles);
+    let capped = reader.clamp_level(level);
+    let (matched, stats) = reader
+        .scan(storage, &files, &query, ScanPolicy::FailFast)
+        .into_result()?;
     Ok(format!(
         "lod level {capped} of {levels}{}\n\
-         matched {matched} of {} particles (prefix holds {})\n\
+         matched {} of {} particles (prefix holds {})\n\
          file reads: {} across {} of {} files\nbytes read: {}\n",
         if capped != level { " (clamped)" } else { "" },
+        matched.len(),
         reader.meta.total_particles,
-        loaded.len(),
+        stats.particles_read + stats.particles_discarded,
         stats.files_opened,
-        files,
+        files.len(),
         reader.meta.entries.len(),
         stats.bytes_read,
     ))
@@ -467,9 +467,8 @@ pub fn render_ppm<S: Storage>(
     let domain = reader.meta.domain;
     let mut hist = vec![0u32; width * height];
     let e = domain.extent();
-    for entry in reader.meta.entries.clone() {
-        let (ps, _) = reader.read_box(storage, &entry.bounds)?;
-        for p in ps {
+    for idx in 0..reader.meta.entries.len() {
+        for p in reader.fetch(storage, idx, None)?.0 {
             let cx = (((p.position[0] - domain.lo[0]) / e[0]) * width as f64) as usize;
             let cy = (((p.position[1] - domain.lo[1]) / e[1]) * height as f64) as usize;
             hist[cx.min(width - 1) + width * cy.min(height - 1)] += 1;
@@ -809,6 +808,11 @@ mod tests {
         let text = query_lod(&s, &q, 99).unwrap();
         assert!(text.contains("(clamped)"), "{text}");
         assert!(text.contains("matched 200"), "{text}");
+        // A box that misses every file says so instead of reporting zero
+        // reads.
+        let outside = Aabb3::new([2.0; 3], [3.0; 3]);
+        let text = query_lod(&s, &outside, 1).unwrap();
+        assert_eq!(text, "no files intersect the query box\n");
     }
 
     #[test]

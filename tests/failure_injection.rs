@@ -403,3 +403,51 @@ fn inverted_ranges_error_at_the_storage_layer() {
         Err(SpioError::Format(_))
     ));
 }
+
+#[test]
+fn failed_lod_level_retries_whole() {
+    // Four data files, one per writer rank; the third is missing on the
+    // first attempt at level 0 and back for the retry.
+    let storage = MemStorage::new();
+    let s = storage.clone();
+    spio_comm::run_threaded_collect(4, move |comm| {
+        use spio_comm::Comm;
+        let ps = uniform_patch_particles(&decomp(), comm.rank(), 300, 1);
+        SpatialWriter::new(decomp(), WriterConfig::new(PartitionFactor::new(1, 1, 1)))
+            .write(&comm, &ps, &s)
+            .unwrap();
+    })
+    .unwrap();
+    let reader = DatasetReader::open(&storage).unwrap();
+    assert_eq!(reader.meta.entries.len(), 4);
+    let hidden = reader.meta.entries[2].file_name();
+    let crippled = MemStorage::new();
+    for name in storage.file_names() {
+        if name != hidden {
+            crippled
+                .write_file(&name, &storage.read_file(&name).unwrap())
+                .unwrap();
+        }
+    }
+    let domain = reader.meta.domain;
+    let mut cursor = reader.lod_box_cursor(&domain, 1);
+    assert!(matches!(
+        cursor.read_next_level(&crippled),
+        Err(SpioError::NotFound(_))
+    ));
+    assert_eq!(cursor.particles_loaded(), 0, "a failed level loads nothing");
+    assert_eq!(cursor.next_level(), 0);
+    // The retry returns the whole level, exactly as a fresh cursor would.
+    let (retried, _) = cursor.read_next_level(&storage).unwrap();
+    let (fresh, _) = reader
+        .lod_box_cursor(&domain, 1)
+        .read_next_level(&storage)
+        .unwrap();
+    assert_eq!(retried, fresh);
+    assert_eq!(retried.len(), 32, "P = 32 particles at level 0");
+    assert_eq!(cursor.particles_loaded(), 32);
+    // Reading on to the end verifies every file's checksum, which fails if
+    // the first attempt fed any verifier bytes twice.
+    let (rest, _) = cursor.read_through_level(&storage, u32::MAX).unwrap();
+    assert_eq!(retried.len() + rest.len(), 1200);
+}
