@@ -8,6 +8,9 @@ cargo build --workspace --release
 # not in the benchmark run.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --workspace
+# The CRC tables and the chunk arithmetic of the byte path ship in release
+# codegen (no overflow checks, no debug asserts); test them as they ship.
+cargo test -q --release -p spio-util -p spio-format
 # The resilience suite is the gate for storage-fault behaviour; run it
 # explicitly so a filtered or partial test invocation cannot skip it.
 cargo test -q --test failure_injection

@@ -724,45 +724,6 @@ impl LodCursor {
         (rank..meta.entries.len()).step_by(nreaders).collect()
     }
 
-    /// Spatially coherent assignment: order the files along a Z-order
-    /// curve of their box centers and hand each reader a contiguous run.
-    /// Each reader's files then cover a compact region — better for
-    /// downstream per-reader spatial processing than round-robin, at the
-    /// same per-reader file count (±1).
-    pub fn files_for_reader_zorder(
-        meta: &SpatialMetadata,
-        nreaders: usize,
-        rank: usize,
-    ) -> Vec<usize> {
-        const RES: f64 = (1u64 << 20) as f64;
-        let e = meta.domain.extent();
-        let coords: Vec<[u32; 3]> = meta
-            .entries
-            .iter()
-            .map(|entry| {
-                let c = entry.bounds.center();
-                let mut q = [0u32; 3];
-                for a in 0..3 {
-                    let t = if e[a] > 0.0 {
-                        ((c[a] - meta.domain.lo[a]) / e[a]).clamp(0.0, 1.0)
-                    } else {
-                        0.0
-                    };
-                    q[a] = (t * (RES - 1.0)) as u32;
-                }
-                q
-            })
-            .collect();
-        let order = spio_types::zorder::zorder_permutation(&coords);
-        // Contiguous blocks of the curve, sized as evenly as possible.
-        let n = order.len();
-        let base = n / nreaders;
-        let extra = n % nreaders;
-        let start = rank * base + rank.min(extra);
-        let len = base + usize::from(rank < extra);
-        order[start..start + len].to_vec()
-    }
-
     /// Number of levels available (dataset-wide).
     pub fn num_levels(&self) -> u32 {
         self.lod.num_levels(self.nreaders, self.dataset_total)
@@ -1089,64 +1050,6 @@ mod tests {
         assert!(loaded.iter().all(|p| quadrant.contains(p.position)));
         // Far less I/O than the full dataset.
         assert!(bytes < storage.total_bytes() / 3);
-    }
-
-    #[test]
-    fn zorder_assignment_is_complete_and_more_compact() {
-        // A 16-file dataset: file-per-process layout of a 4×4×1 grid.
-        let storage = MemStorage::new();
-        let s2 = storage.clone();
-        let d =
-            DomainDecomposition::uniform(Aabb3::new([0.0; 3], [1.0; 3]), GridDims::new(4, 4, 1));
-        run_threaded_collect(16, move |comm| {
-            let b = d.patch_bounds(comm.rank());
-            let ps: Vec<Particle> = (0..20)
-                .map(|i| {
-                    Particle::synthetic(
-                        [b.lo[0] + 0.01 + (i as f64) * 0.01, b.center()[1], 0.5],
-                        ((comm.rank() as u64) << 32) | i,
-                    )
-                })
-                .collect();
-            crate::writer::SpatialWriter::new(
-                d.clone(),
-                crate::writer::WriterConfig::new(PartitionFactor::new(1, 1, 1)),
-            )
-            .write(&comm, &ps, &s2)
-            .unwrap();
-        })
-        .unwrap();
-        let r = DatasetReader::open(&storage).unwrap();
-        let meta = &r.meta;
-        // Completeness: both assignments cover every file exactly once.
-        for nreaders in [1usize, 2, 3, 5, 16] {
-            let mut z: Vec<usize> = (0..nreaders)
-                .flat_map(|k| LodCursor::files_for_reader_zorder(meta, nreaders, k))
-                .collect();
-            z.sort_unstable();
-            assert_eq!(z, (0..meta.entries.len()).collect::<Vec<_>>());
-        }
-        // Compactness: with 2 readers over 16 tiles, each z-order reader's
-        // 8 files form a half-plane (union volume 0.5); round-robin
-        // scatters every other tile across the whole domain (union 1.0).
-        let union_volume = |files: &[usize]| {
-            files
-                .iter()
-                .map(|&i| meta.entries[i].bounds)
-                .reduce(|a, b| a.union(&b))
-                .unwrap()
-                .volume()
-        };
-        let z0 = LodCursor::files_for_reader_zorder(meta, 2, 0);
-        let rr0 = LodCursor::files_for_reader(meta, 2, 0);
-        assert!(
-            union_volume(&z0) < 0.75 * union_volume(&rr0),
-            "z-order {:?} ({}) vs round-robin {:?} ({})",
-            z0,
-            union_volume(&z0),
-            rr0,
-            union_volume(&rr0)
-        );
     }
 
     #[test]

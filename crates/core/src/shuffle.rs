@@ -42,41 +42,47 @@ pub fn lod_shuffle(particles: &mut [Particle], seed: u64) {
     rng.shuffle(particles);
 }
 
-/// Stratified LOD ordering: bin particles into a `cells³` grid over
-/// `bounds`, shuffle each cell's list (seeded per cell), then emit one
-/// particle per occupied cell per round. Any prefix therefore samples all
-/// occupied cells as evenly as possible — the "density" heuristic family
-/// of §3.4. Returns a permutation of the input.
-pub fn lod_stratify(particles: &mut [Particle], bounds: &Aabb3, seed: u64) {
-    let n = particles.len();
+/// Stratified LOD ordering of a buffer whose particles lie at `positions`,
+/// as a permutation `perm[new_index] = old_index`: bin particles into a
+/// `cells³` grid over `bounds`, shuffle each cell's list (seeded per cell),
+/// then emit one particle per occupied cell per round. Any prefix
+/// therefore samples all occupied cells as evenly as possible — the
+/// "density" heuristic family of §3.4. The writer reads the positions from
+/// record bytes and gathers records in this order without decoding them.
+pub fn stratify_permutation(
+    positions: impl ExactSizeIterator<Item = [f64; 3]>,
+    bounds: &Aabb3,
+    seed: u64,
+) -> Vec<usize> {
+    let n = positions.len();
     if n < 2 {
-        return;
+        return (0..n).collect();
     }
     // Aim for ~64 particles per cell, capped so tiny buffers still work.
     let cells = (((n as f64) / 64.0).cbrt().ceil() as usize).clamp(1, 16);
     let dims = [cells; 3];
     let ncells = cells * cells * cells;
-    let mut bins: Vec<Vec<Particle>> = vec![Vec::new(); ncells];
-    for p in particles.iter() {
-        let c = bounds.cell_of(dims, p.position);
-        bins[c[0] + cells * (c[1] + cells * c[2])].push(*p);
+    let mut bins: Vec<Vec<usize>> = vec![Vec::new(); ncells];
+    for (i, position) in positions.enumerate() {
+        let c = bounds.cell_of(dims, position);
+        bins[c[0] + cells * (c[1] + cells * c[2])].push(i);
     }
     for (i, bin) in bins.iter_mut().enumerate() {
         let mut rng = Rng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
         rng.shuffle(bin);
     }
     // Round-robin drain: one particle per non-empty cell per round.
+    let mut perm = Vec::with_capacity(n);
     let mut cursors = vec![0usize; ncells];
-    let mut out_idx = 0;
-    while out_idx < n {
+    while perm.len() < n {
         for (bin, cursor) in bins.iter().zip(cursors.iter_mut()) {
-            if *cursor < bin.len() {
-                particles[out_idx] = bin[*cursor];
+            if let Some(&i) = bin.get(*cursor) {
+                perm.push(i);
                 *cursor += 1;
-                out_idx += 1;
             }
         }
     }
+    perm
 }
 
 /// Recompute the permutation applied by [`lod_shuffle`] for a buffer of
@@ -171,15 +177,13 @@ mod tests {
             })
             .collect();
         let bounds = Aabb3::new([0.0; 3], [1.0; 3]);
-        let mut strat = original.clone();
-        lod_stratify(&mut strat, &bounds, 7);
-        // Still a permutation.
-        let mut ids: Vec<u64> = strat.iter().map(|p| p.id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids.len(), n as usize);
-        assert_eq!(ids, (0..n).collect::<Vec<u64>>());
+        let perm = stratify_permutation(original.iter().map(|p| p.position), &bounds, 7);
+        // A permutation.
+        let mut sorted = perm.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..n as usize).collect::<Vec<_>>());
         // A tiny prefix touches every 1/8 x-slab.
-        let prefix = &strat[..64];
+        let prefix: Vec<Particle> = perm[..64].iter().map(|&i| original[i]).collect();
         for g in 0..8 {
             let lo = g as f64 / 8.0;
             assert!(
@@ -194,11 +198,11 @@ mod tests {
     #[test]
     fn stratified_deterministic() {
         let bounds = Aabb3::new([0.0; 3], [10_000.0, 1.0, 1.0]);
-        let mut a = particles(1000);
-        let mut b = particles(1000);
-        lod_stratify(&mut a, &bounds, 5);
-        lod_stratify(&mut b, &bounds, 5);
+        let ps = particles(1000);
+        let a = stratify_permutation(ps.iter().map(|p| p.position), &bounds, 5);
+        let b = stratify_permutation(ps.iter().map(|p| p.position), &bounds, 5);
         assert_eq!(a, b);
+        assert_ne!(a, (0..1000).collect::<Vec<_>>());
     }
 
     #[test]
@@ -208,7 +212,9 @@ mod tests {
         assert!(none.is_empty());
         let mut one = particles(1);
         lod_shuffle(&mut one, 1);
-        lod_stratify(&mut one, &Aabb3::new([0.0; 3], [1.0; 3]), 1);
         assert_eq!(one[0].id, 0);
+        let unit = Aabb3::new([0.0; 3], [1.0; 3]);
+        assert!(stratify_permutation(std::iter::empty(), &unit, 1).is_empty());
+        assert_eq!(stratify_permutation([[0.5; 3]].into_iter(), &unit, 1), [0]);
     }
 }

@@ -20,6 +20,12 @@
 //! so a real-MPI port gets genuine send/receive overlap instead of
 //! serialized rendezvous.
 //!
+//! Aggregation is byte-native: an aggregator keeps the 124 B records it
+//! receives, derives the LOD order as a permutation of record indices
+//! (step 6), and gathers the records in that order straight into the data
+//! file buffer (step 7), checksumming each chunk as it fills. Records are
+//! never decoded into `Particle`s and re-encoded on the way through.
+//!
 //! When a [`spio_trace::Trace`] is attached ([`SpatialWriter::with_trace`]),
 //! the writer records one phase span per step from the *same* clock
 //! measurements that feed [`WriteStats`], so trace-derived breakdowns agree
@@ -27,15 +33,16 @@
 
 use crate::adaptive::AdaptiveGrid;
 use crate::grid::AggregationGrid;
-use crate::shuffle::{lod_shuffle, lod_stratify, partition_seed, LodOrder};
+use crate::shuffle::{partition_seed, shuffle_permutation, stratify_permutation, LodOrder};
 use crate::stats::WriteStats;
 use crate::storage::Storage;
 use spio_comm::{Comm, Tag};
-use spio_format::data_file::{encode_data_file, DataFileHeader};
+use spio_format::data_file::{encode_data_file_with, DataFileHeader};
 use spio_format::meta::AttrRange;
 use spio_format::{data_file_name, FileEntry, LodParams, SpatialMetadata, META_FILE_NAME};
 use spio_trace::Trace;
-use spio_types::{Aabb3, DomainDecomposition, Particle, Rank, SpioError};
+use spio_types::particle::{encode_particles, record_f64, record_position, slot};
+use spio_types::{Aabb3, DomainDecomposition, Particle, Rank, SpioError, PARTICLE_BYTES};
 use std::time::Instant;
 
 /// Data-file header flag bits recording which LOD ordering produced the
@@ -226,36 +233,47 @@ impl SpatialWriter {
         let my_partition = grid.aggregated_partition(me);
         let mut my_entry: Option<(usize, FileEntry, AttrRange)> = None;
         if let Some(part_idx) = my_partition {
-            let mut buffer = aggregated.expect("aggregator must have a buffer");
-            stats.particles_aggregated = buffer.len() as u64;
+            let messages = aggregated.expect("aggregator must have a buffer");
+            // The aggregation buffer is the received messages themselves,
+            // indexed record by record in sender-rank order.
+            let records: Vec<&[u8; PARTICLE_BYTES]> = messages
+                .iter()
+                .flat_map(|m| m.as_chunks::<PARTICLE_BYTES>().0)
+                .collect();
+            stats.particles_aggregated = records.len() as u64;
 
+            // The LOD order as a permutation of record indices,
+            // `order[new] = old`; Random makes the same draws as `lod_shuffle`.
             let t0 = Instant::now();
             let seed = partition_seed(self.config.seed, part_idx);
             let bounds = grid.partitions[part_idx].bounds;
             let mut file_flags = 0u32;
-            match self.config.lod_order {
+            let order = match self.config.lod_order {
                 LodOrder::Stratified => {
-                    lod_stratify(&mut buffer, &bounds, seed);
                     file_flags |= flags::STRATIFIED_ORDER;
+                    stratify_permutation(records.iter().map(|r| record_position(r)), &bounds, seed)
                 }
-                LodOrder::Random => lod_shuffle(&mut buffer, seed),
-            }
+                LodOrder::Random => shuffle_permutation(records.len(), seed),
+            };
             stats.shuffle_time = t0.elapsed();
             self.trace.phase(me, phases::SHUFFLE, stats.shuffle_time);
 
-            // §3.5 extension: record the scalar ranges of this file so
-            // readers can prune attribute range-queries.
-            let mut range = AttrRange::empty();
-            for p in &buffer {
-                range.include(p.density, p.volume);
-            }
-
             let t0 = Instant::now();
-            let mut header = DataFileHeader::new(buffer.len() as u64, bounds, seed);
+            let mut header = DataFileHeader::new(records.len() as u64, bounds, seed);
             // OR, don't assign: `new` already set the format-owned bits
             // (CHECKSUMS); the writer only owns the LOD-order bits.
             header.flags |= file_flags;
-            let bytes = encode_data_file(&header, &buffer);
+            // §3.5 extension: record the scalar ranges of this file so
+            // readers can prune attribute range-queries.
+            let mut range = AttrRange::empty();
+            let bytes = encode_data_file_with(&header, |i, out| {
+                let record = records[order[i]];
+                range.include(
+                    record_f64(record, slot::DENSITY),
+                    record_f64(record, slot::VOLUME),
+                );
+                out.extend_from_slice(record);
+            });
             storage.write_file(&data_file_name(me), &bytes)?;
             stats.bytes_written = bytes.len() as u64;
             stats.files_written = 1;
@@ -266,7 +284,7 @@ impl SpatialWriter {
                 part_idx,
                 FileEntry {
                     agg_rank: me as u64,
-                    particle_count: buffer.len() as u64,
+                    particle_count: records.len() as u64,
                     bounds,
                 },
                 range,
@@ -395,7 +413,8 @@ impl SpatialWriter {
 
     /// Aligned exchange: every rank sends its whole buffer to the single
     /// aggregator owning its patch's partition. Returns the aggregation
-    /// buffer if this rank is an aggregator.
+    /// buffer — the received record messages, in sender-rank order — if
+    /// this rank is an aggregator.
     ///
     /// With `global_counts` present (adaptive mode), the §6 extent/count
     /// all-gather already served as the metadata exchange, so per-rank
@@ -406,7 +425,7 @@ impl SpatialWriter {
         grid: &AggregationGrid,
         particles: &[Particle],
         global_counts: Option<&[u64]>,
-    ) -> Result<Option<Vec<Particle>>, SpioError> {
+    ) -> Result<Option<Vec<Vec<u8>>>, SpioError> {
         let me = comm.rank();
         let patch = self.decomp.patch_bounds(me);
         if let Some(bad) = particles.iter().find(|p| !patch.contains(p.position)) {
@@ -433,11 +452,7 @@ impl SpatialWriter {
                     ));
                 }
                 if !particles.is_empty() {
-                    sends.push(comm.isend(
-                        dest,
-                        TAG_DATA,
-                        spio_types::particle::encode_particles(particles),
-                    ));
+                    sends.push(comm.isend(dest, TAG_DATA, encode_particles(particles)));
                 }
             }
             (None, false) => {
@@ -475,20 +490,14 @@ impl SpatialWriter {
                     })
                     .collect::<Result<_, SpioError>>()?
             };
-            // Allocate the aggregation buffer now that sizes are known
-            // (§3.3 step 4), then run the particle exchange.
-            let total: u64 = sender_counts.iter().map(|&(_, c)| c).sum();
-            let mut buffer = Vec::with_capacity(total as usize);
-            let handles: Vec<spio_comm::RecvHandle> = sender_counts
+            // Post the particle receives now that sizes are known (§3.3
+            // step 4); each message must carry exactly its announced count.
+            let handles: Vec<(u64, spio_comm::RecvHandle)> = sender_counts
                 .iter()
                 .filter(|&&(_, c)| c > 0)
-                .map(|&(m, _)| comm.irecv(m, TAG_DATA))
+                .map(|&(m, c)| (c, comm.irecv(m, TAG_DATA)))
                 .collect();
-            for h in handles {
-                let bytes = h.wait()?;
-                buffer.extend(spio_types::particle::decode_particles(&bytes));
-            }
-            Some(buffer)
+            Some(receive_records(handles)?)
         } else {
             None
         };
@@ -508,7 +517,7 @@ impl SpatialWriter {
         comm: &C,
         grid: &AggregationGrid,
         particles: &[Particle],
-    ) -> Result<Option<Vec<Particle>>, SpioError> {
+    ) -> Result<Option<Vec<Vec<u8>>>, SpioError> {
         let me = comm.rank();
         // Declared extent: the actual bounding box of my particles (§3.1:
         // "the I/O system can easily compute this information by finding
@@ -550,11 +559,7 @@ impl SpatialWriter {
                     (bin.len() as u64).to_le_bytes().to_vec(),
                 ));
                 if !bin.is_empty() {
-                    sends.push(comm.isend(
-                        part.agg_rank,
-                        TAG_DATA,
-                        spio_types::particle::encode_particles(bin),
-                    ));
+                    sends.push(comm.isend(part.agg_rank, TAG_DATA, encode_particles(bin)));
                 }
             }
         }
@@ -575,7 +580,6 @@ impl SpatialWriter {
                 .map(|&s| (s, comm.irecv(s, TAG_META)))
                 .collect();
             let mut data_senders = Vec::new();
-            let mut total: u64 = 0;
             for (s, h) in meta_handles {
                 let b = h.wait()?;
                 let count = b
@@ -584,19 +588,14 @@ impl SpatialWriter {
                     .map(u64::from_le_bytes)
                     .map_err(|_| SpioError::Comm("bad metadata message".into()))?;
                 if count > 0 {
-                    data_senders.push(s);
-                    total += count;
+                    data_senders.push((s, count));
                 }
             }
-            let mut buffer = Vec::with_capacity(total as usize);
-            let handles: Vec<spio_comm::RecvHandle> = data_senders
+            let handles: Vec<(u64, spio_comm::RecvHandle)> = data_senders
                 .iter()
-                .map(|&s| comm.irecv(s, TAG_DATA))
+                .map(|&(s, c)| (c, comm.irecv(s, TAG_DATA)))
                 .collect();
-            for h in handles {
-                buffer.extend(spio_types::particle::decode_particles(&h.wait()?));
-            }
-            Some(buffer)
+            Some(receive_records(handles)?)
         } else {
             None
         };
@@ -607,6 +606,24 @@ impl SpatialWriter {
         }
         Ok(buffer)
     }
+}
+
+/// Complete the particle receives in order, checking that each message
+/// holds exactly the number of records its sender announced.
+fn receive_records(handles: Vec<(u64, spio_comm::RecvHandle)>) -> Result<Vec<Vec<u8>>, SpioError> {
+    handles
+        .into_iter()
+        .map(|(count, h)| {
+            let bytes = h.wait()?;
+            if bytes.len() as u64 != count * PARTICLE_BYTES as u64 {
+                return Err(SpioError::Comm(format!(
+                    "particle message of {} bytes, announced {count} records",
+                    bytes.len()
+                )));
+            }
+            Ok(bytes)
+        })
+        .collect()
 }
 
 /// Intersection test between a particle bounding box (closed, from
@@ -835,6 +852,39 @@ mod tests {
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         assert_eq!(ids, sorted, "pre-shuffle buffer is sender-rank ordered");
+    }
+
+    #[test]
+    fn byte_native_files_match_the_particle_path() {
+        // Two ranks × 2500 particles into one file of two checksum chunks:
+        // the file must equal shuffling the decoded particles and encoding
+        // them, for both LOD orders.
+        use crate::shuffle::lod_shuffle;
+        use spio_format::data_file::{encode_data_file, CHECKSUM_CHUNK_RECORDS};
+        let per_rank = 2500;
+        for order in [LodOrder::Random, LodOrder::Stratified] {
+            let d = decomp(2, 1, 1);
+            let config = WriterConfig::new(PartitionFactor::new(2, 1, 1))
+                .with_seed(31)
+                .with_lod_order(order);
+            let (storage, _) = write_job(d.clone(), config, per_rank);
+            let bytes = storage.read_file("file_0.spd").unwrap();
+            let (header, _) = decode_data_file(&bytes).unwrap();
+            assert!(header.particle_count > CHECKSUM_CHUNK_RECORDS);
+            let mut expect: Vec<Particle> = (0..2)
+                .flat_map(|r| spio_workloads_shim::uniform(&d, r, per_rank, 77))
+                .collect();
+            let seed = partition_seed(31, 0);
+            match order {
+                LodOrder::Random => lod_shuffle(&mut expect, seed),
+                LodOrder::Stratified => {
+                    let positions = expect.iter().map(|p| p.position);
+                    let perm = stratify_permutation(positions, &header.bounds, seed);
+                    expect = perm.iter().map(|&i| expect[i]).collect();
+                }
+            }
+            assert_eq!(bytes, encode_data_file(&header, &expect), "{order:?}");
+        }
     }
 
     #[test]

@@ -137,18 +137,21 @@ impl DataFileHeader {
     /// Parse a header from the start of `bytes`. Accepts v1 and v2; a v2
     /// header must pass its own CRC (any flipped header byte is caught).
     pub fn decode(bytes: &[u8]) -> Result<Self, SpioError> {
-        if bytes.len() < HEADER_BYTES {
+        let Some(head) = bytes.first_chunk::<HEADER_BYTES>() else {
             return Err(SpioError::Format(format!(
                 "data file truncated: {} bytes, header needs {HEADER_BYTES}",
                 bytes.len()
             )));
-        }
-        if bytes[..8] != DATA_MAGIC {
+        };
+        if head[..8] != DATA_MAGIC {
             return Err(SpioError::Format("bad data-file magic".into()));
         }
-        let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
-        let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
-        let f64_at = |o: usize| f64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
+        // Every header field sits at a multiple of its own width.
+        let (words, _) = head.as_chunks::<4>();
+        let (dwords, _) = head.as_chunks::<8>();
+        let u32_at = |o: usize| u32::from_le_bytes(words[o / 4]);
+        let u64_at = |o: usize| u64::from_le_bytes(dwords[o / 8]);
+        let f64_at = |o: usize| f64::from_le_bytes(dwords[o / 8]);
         let version = u32_at(8);
         if version != DATA_VERSION_V1 && version != DATA_VERSION {
             return Err(SpioError::Format(format!(
@@ -157,7 +160,7 @@ impl DataFileHeader {
         }
         let checksum_chunk = if version >= 2 {
             let stored = u32_at(HEADER_BYTES - 4);
-            let computed = crc32(&bytes[..HEADER_BYTES - 4]);
+            let computed = crc32(&head[..HEADER_BYTES - 4]);
             if stored != computed {
                 return Err(SpioError::Format(format!(
                     "header checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
@@ -192,26 +195,46 @@ impl DataFileHeader {
     }
 }
 
-/// CRC-32 of each payload chunk: chunk `c` covers records
-/// `[c·K, min((c+1)·K, N))` where `K` is the header's chunk size.
-fn chunk_crcs(header: &DataFileHeader, payload: &[u8]) -> Vec<u32> {
-    let chunk_bytes = header.checksum_chunk as usize * PARTICLE_BYTES;
-    payload.chunks(chunk_bytes.max(1)).map(crc32).collect()
-}
-
 /// Serialize a complete data file (header + payload + checksum footer for
 /// v2 headers) into one buffer.
 pub fn encode_data_file(header: &DataFileHeader, particles: &[Particle]) -> Vec<u8> {
     debug_assert_eq!(header.particle_count as usize, particles.len());
+    encode_data_file_with(header, |i, out| particles[i].encode(out))
+}
+
+/// Serialize a data file whose `header.particle_count` records are appended
+/// in payload order by `push_record(i, out)`, which must append exactly
+/// [`PARTICLE_BYTES`] bytes for record `i`. Each checksum chunk's CRC is
+/// taken as soon as the chunk is filled, while its bytes are still in
+/// cache, so the payload crosses memory once.
+pub fn encode_data_file_with(
+    header: &DataFileHeader,
+    mut push_record: impl FnMut(usize, &mut Vec<u8>),
+) -> Vec<u8> {
+    let n = header.particle_count as usize;
     let mut out = header.encode();
-    out.reserve(particles.len() * PARTICLE_BYTES + header.num_chunks() as usize * 4);
-    for p in particles {
-        p.encode(&mut out);
-    }
-    if header.has_checksums() {
-        for crc in chunk_crcs(header, &out[HEADER_BYTES..]) {
-            out.extend_from_slice(&crc.to_le_bytes());
+    out.reserve(n * PARTICLE_BYTES + header.num_chunks() as usize * 4);
+    let chunk = if header.has_checksums() {
+        header.checksum_chunk as usize
+    } else {
+        n.max(1)
+    };
+    let mut crcs = Vec::with_capacity(header.num_chunks() as usize);
+    let mut i = 0;
+    while i < n {
+        let start = out.len();
+        let end = (i + chunk).min(n);
+        for r in i..end {
+            push_record(r, &mut out);
         }
+        debug_assert_eq!(out.len() - start, (end - i) * PARTICLE_BYTES);
+        if header.has_checksums() {
+            crcs.push(crc32(&out[start..]));
+        }
+        i = end;
+    }
+    for crc in crcs {
+        out.extend_from_slice(&crc.to_le_bytes());
     }
     out
 }
@@ -233,10 +256,8 @@ pub fn decode_checksum_footer(
             bytes.len()
         )));
     }
-    Ok(bytes[payload_end..footer_end]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect())
+    let (words, _) = bytes[payload_end..footer_end].as_chunks::<4>();
+    Ok(words.iter().map(|w| u32::from_le_bytes(*w)).collect())
 }
 
 /// Verify every payload chunk of a whole-file buffer against its checksum
@@ -245,18 +266,33 @@ pub fn decode_checksum_footer(
 /// fails with [`SpioError::Format`].
 pub fn verify_checksums(bytes: &[u8]) -> Result<usize, SpioError> {
     let header = DataFileHeader::decode(bytes)?;
-    verify_checksums_with_header(&header, bytes)
-}
-
-fn verify_checksums_with_header(header: &DataFileHeader, bytes: &[u8]) -> Result<usize, SpioError> {
     if !header.has_checksums() {
         return Ok(0);
     }
+    for_each_verified_chunk(&header, bytes, |_| ())
+}
+
+/// Walk the payload of a whole-file buffer chunk by chunk, handing each
+/// chunk to `visit` right after its CRC matched the footer, so a caller
+/// that decodes in `visit` reads each chunk while it is still in cache.
+/// Returns the number of chunks verified; stops at the first mismatch. A
+/// v1 file (no checksums) is one unverified chunk, and the caller must
+/// have checked its length: it has no footer to check it against.
+fn for_each_verified_chunk(
+    header: &DataFileHeader,
+    bytes: &[u8],
+    mut visit: impl FnMut(&[u8]),
+) -> Result<usize, SpioError> {
     let stored = decode_checksum_footer(header, bytes)?;
     let payload_end = HEADER_BYTES + header.particle_count as usize * PARTICLE_BYTES;
-    let computed = chunk_crcs(header, &bytes[HEADER_BYTES..payload_end]);
-    debug_assert_eq!(stored.len(), computed.len());
-    for (i, (s, c)) in stored.iter().zip(&computed).enumerate() {
+    let payload = &bytes[HEADER_BYTES..payload_end];
+    if !header.has_checksums() {
+        visit(payload);
+        return Ok(0);
+    }
+    let chunk_bytes = header.checksum_chunk as usize * PARTICLE_BYTES;
+    for (i, (chunk, &s)) in payload.chunks(chunk_bytes).zip(&stored).enumerate() {
+        let c = crc32(chunk);
         if s != c {
             return Err(SpioError::Format(format!(
                 "payload checksum mismatch in chunk {i} (records {}..{}): stored {s:#010x}, computed {c:#010x}",
@@ -264,6 +300,7 @@ fn verify_checksums_with_header(header: &DataFileHeader, bytes: &[u8]) -> Result
                 ((i as u64 + 1) * header.checksum_chunk as u64).min(header.particle_count),
             )));
         }
+        visit(chunk);
     }
     Ok(stored.len())
 }
@@ -271,7 +308,9 @@ fn verify_checksums_with_header(header: &DataFileHeader, bytes: &[u8]) -> Result
 /// Parse a complete data file, validating payload length against the header
 /// and — for v2 files — every payload chunk against the checksum footer,
 /// so a single flipped byte anywhere in the file surfaces as an error
-/// rather than a silently wrong query answer.
+/// rather than a silently wrong query answer. Each chunk is verified and
+/// then decoded while it is still in cache; on any mismatch no particles
+/// are returned.
 pub fn decode_data_file(bytes: &[u8]) -> Result<(DataFileHeader, Vec<Particle>), SpioError> {
     let header = DataFileHeader::decode(bytes)?;
     // Checked arithmetic: a corrupted count must produce an error, not an
@@ -287,12 +326,11 @@ pub fn decode_data_file(bytes: &[u8]) -> Result<(DataFileHeader, Vec<Particle>),
                 .map_or("overflowing".to_string(), |e| e.to_string()),
         )));
     }
-    verify_checksums_with_header(&header, bytes)?;
-    let payload_end = HEADER_BYTES + header.particle_count as usize * PARTICLE_BYTES;
-    let particles = bytes[HEADER_BYTES..payload_end]
-        .chunks_exact(PARTICLE_BYTES)
-        .map(Particle::decode)
-        .collect();
+    let mut particles = Vec::with_capacity(header.particle_count as usize);
+    for_each_verified_chunk(&header, bytes, |chunk| {
+        let (records, _) = chunk.as_chunks::<PARTICLE_BYTES>();
+        particles.extend(records.iter().map(Particle::decode_record));
+    })?;
     Ok((header, particles))
 }
 
@@ -501,6 +539,10 @@ mod tests {
         let mut bytes = encode_data_file(&h, &ps);
         bytes.truncate(bytes.len() - 1);
         assert!(decode_data_file(&bytes).is_err());
+        // Cut inside the payload: both readers report it, neither panics.
+        bytes.truncate(HEADER_BYTES + PARTICLE_BYTES);
+        assert!(decode_data_file(&bytes).is_err());
+        assert!(verify_checksums(&bytes).is_err());
     }
 
     #[test]

@@ -68,37 +68,55 @@ impl Particle {
     /// # Panics
     /// Panics if `bytes.len() != PARTICLE_BYTES`.
     pub fn decode(bytes: &[u8]) -> Self {
-        assert_eq!(bytes.len(), PARTICLE_BYTES, "bad particle record size");
-        let f64_at = |i: usize| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&bytes[i * 8..i * 8 + 8]);
-            f64::from_le_bytes(b)
+        let Ok(record) = <&[u8; PARTICLE_BYTES]>::try_from(bytes) else {
+            panic!("bad particle record size");
         };
-        let mut position = [0.0; 3];
-        for (i, p) in position.iter_mut().enumerate() {
-            *p = f64_at(i);
-        }
-        let mut stress = [0.0; 9];
-        for (i, s) in stress.iter_mut().enumerate() {
-            *s = f64_at(3 + i);
-        }
-        let density = f64_at(12);
-        let volume = f64_at(13);
-        let mut idb = [0u8; 8];
-        idb.copy_from_slice(&bytes[112..120]);
-        let id = u64::from_le_bytes(idb);
-        let mut tb = [0u8; 4];
-        tb.copy_from_slice(&bytes[120..124]);
-        let ptype = f32::from_le_bytes(tb);
+        Self::decode_record(record)
+    }
+
+    /// Decode one encoded record.
+    #[inline]
+    pub fn decode_record(record: &[u8; PARTICLE_BYTES]) -> Self {
+        let f = |slot: usize| record_f64(record, slot);
+        let (words, _) = record.as_chunks::<4>();
         Particle {
-            position,
-            stress,
-            density,
-            volume,
-            id,
-            ptype,
+            position: record_position(record),
+            stress: std::array::from_fn(|i| f(3 + i)),
+            density: f(slot::DENSITY),
+            volume: f(slot::VOLUME),
+            id: u64::from_le_bytes(record_slot(record, slot::ID)),
+            ptype: f32::from_le_bytes(words[PARTICLE_BYTES / 4 - 1]),
         }
     }
+}
+
+/// Indices of the 8-byte slots of an encoded record (slot `k` holds bytes
+/// `8k..8k+8`); the record's last 4 bytes are the material type.
+pub mod slot {
+    /// Position x; y and z follow in slots 1 and 2.
+    pub const POSITION: usize = 0;
+    pub const DENSITY: usize = 12;
+    pub const VOLUME: usize = 13;
+    pub const ID: usize = 14;
+}
+
+#[inline]
+fn record_slot(record: &[u8; PARTICLE_BYTES], slot: usize) -> [u8; 8] {
+    let (slots, _) = record.as_chunks::<8>();
+    slots[slot]
+}
+
+/// The f64 field in 8-byte `slot` of an encoded record, read in place —
+/// for code that moves records as bytes and needs one field of each.
+#[inline]
+pub fn record_f64(record: &[u8; PARTICLE_BYTES], slot: usize) -> f64 {
+    f64::from_le_bytes(record_slot(record, slot))
+}
+
+/// The position of an encoded record, read in place.
+#[inline]
+pub fn record_position(record: &[u8; PARTICLE_BYTES]) -> [f64; 3] {
+    std::array::from_fn(|a| record_f64(record, slot::POSITION + a))
 }
 
 /// Encode a slice of particles into a contiguous byte buffer.
