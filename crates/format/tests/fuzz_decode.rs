@@ -2,9 +2,9 @@
 //! corrupted bytes. A reader crashing on a truncated checkpoint would be a
 //! production incident; these tests fuzz the attack surface.
 
-use spio_format::data_file::{decode_data_file, decode_prefix, encode_data_file, DataFileHeader};
+use spio_format::data_file::{decode_data_file, encode_data_file, DataFileHeader, PayloadDecoder};
 use spio_format::{SpatialMetadata, DATA_MAGIC, META_MAGIC};
-use spio_types::{Aabb3, Particle};
+use spio_types::{Aabb3, Particle, PARTICLE_BYTES};
 use spio_util::check::{cases, Gen};
 
 #[test]
@@ -12,8 +12,53 @@ fn data_file_decode_never_panics() {
     cases(512, |g: &mut Gen| {
         let bytes = g.bytes(0, 2048);
         let _ = decode_data_file(&bytes);
-        let _ = decode_prefix(&bytes, 10);
         let _ = DataFileHeader::decode(&bytes);
+    });
+}
+
+#[test]
+fn payload_decoder_never_panics() {
+    cases(512, |g: &mut Gen| {
+        // Header fields straight from the generator, past the header CRC,
+        // so the decoder sees any count, chunk size and flag combination.
+        let small = g.bool();
+        let pick = |g: &mut Gen, small_max: u64| {
+            if small {
+                g.u64_in(0, small_max)
+            } else {
+                g.u64()
+            }
+        };
+        let header = DataFileHeader {
+            version: g.u32_in(0, 4),
+            flags: g.u32_in(0, 8),
+            particle_count: pick(g, 40),
+            bounds: Aabb3::new([0.0; 3], [1.0; 3]),
+            shuffle_seed: g.u64(),
+            checksum_chunk: pick(g, 9) as u32,
+        };
+        // Usually the footer length the header implies, so decoding starts.
+        let footer_len = if g.bool() {
+            (header.num_chunks() as usize).saturating_mul(4).min(4096)
+        } else {
+            g.usize_in(0, 64)
+        };
+        let footer: Vec<u8> = (0..footer_len).map(|_| g.u8()).collect();
+        let Ok(mut decoder) = PayloadDecoder::new(&header, &footer) else {
+            return;
+        };
+        let mut out = Vec::new();
+        for _ in 0..g.usize_in(1, 6) {
+            let records = g.usize_in(0, 12) * PARTICLE_BYTES;
+            let ragged = if g.bool() {
+                0
+            } else {
+                g.usize_in(0, PARTICLE_BYTES)
+            };
+            let slice: Vec<u8> = (0..records + ragged).map(|_| g.u8()).collect();
+            let _ = decoder.decode_next(&slice, &mut out);
+        }
+        assert!(out.len() as u64 <= header.particle_count);
     });
 }
 

@@ -1,8 +1,11 @@
 //! Property tests for the on-disk format and LOD arithmetic.
 
-use spio_format::data_file::{decode_data_file, decode_prefix, encode_data_file, DataFileHeader};
+use spio_format::data_file::{
+    decode_data_file, encode_data_file, footer_range, payload_range, DataFileHeader,
+    PayloadDecoder, HEADER_BYTES,
+};
 use spio_format::{FileEntry, LodParams, SpatialMetadata};
-use spio_types::{Aabb3, GridDims, Particle, PartitionFactor};
+use spio_types::{Aabb3, GridDims, Particle, PartitionFactor, SpioError, PARTICLE_BYTES};
 use spio_util::check::{cases, Gen};
 
 fn arb_particles(g: &mut Gen, max: usize) -> Vec<Particle> {
@@ -33,16 +36,92 @@ fn data_file_roundtrip() {
     });
 }
 
+/// A checksummed file of at least one record with a random chunk size of
+/// 1..=8 records, so small files still span several chunks.
+fn arb_chunked_file(g: &mut Gen) -> (DataFileHeader, Vec<Particle>, Vec<u8>) {
+    let mut ps = arb_particles(g, 48);
+    if ps.is_empty() {
+        ps.push(Particle::synthetic([0.0; 3], g.u64()));
+    }
+    let mut header = DataFileHeader::new(ps.len() as u64, Aabb3::new([-1e3; 3], [1e3; 3]), 7);
+    header.checksum_chunk = g.u32_in(1, 9);
+    let bytes = encode_data_file(&header, &ps);
+    (header, ps, bytes)
+}
+
+/// Ascending record-aligned cut points from 0 to `n`, repeats allowed, so
+/// the payload streams as slices of any size including empty ones.
+fn arb_cuts(g: &mut Gen, n: usize) -> Vec<usize> {
+    let mut cuts: Vec<usize> = (0..g.usize_in(0, 7))
+        .map(|_| g.usize_in(0, n + 1))
+        .collect();
+    cuts.extend([0, n]);
+    cuts.sort_unstable();
+    cuts
+}
+
+fn decoder_for(header: &DataFileHeader, bytes: &[u8]) -> PayloadDecoder {
+    let (start, end) = footer_range(header);
+    PayloadDecoder::new(header, &bytes[start as usize..end as usize]).unwrap()
+}
+
+fn payload(bytes: &[u8], from: usize, to: usize) -> &[u8] {
+    let (start, end) = payload_range(from, to);
+    &bytes[start as usize..end as usize]
+}
+
 #[test]
-fn any_prefix_decodes() {
-    cases(128, |g: &mut Gen| {
-        let ps = arb_particles(g, 64);
-        let take = g.usize_in(0, 79);
-        let header = DataFileHeader::new(ps.len() as u64, Aabb3::new([0.0; 3], [1.0; 3]), 7);
-        let bytes = encode_data_file(&header, &ps);
-        let (_, got) = decode_prefix(&bytes, take).unwrap();
-        let want = take.min(ps.len());
-        assert_eq!(got.as_slice(), &ps[..want]);
+fn split_payload_streams_like_the_whole_file() {
+    cases(256, |g: &mut Gen| {
+        let (header, ps, bytes) = arb_chunked_file(g);
+        let mut decoder = decoder_for(&header, &bytes);
+        let mut streamed = Vec::new();
+        for cut in arb_cuts(g, ps.len()).windows(2) {
+            decoder
+                .decode_next(payload(&bytes, cut[0], cut[1]), &mut streamed)
+                .unwrap();
+        }
+        let (_, whole) = decode_data_file(&bytes).unwrap();
+        assert_eq!(streamed, whole);
+        assert_eq!(whole, ps);
+    });
+}
+
+#[test]
+fn corruption_fails_the_slice_that_completes_its_chunk() {
+    cases(256, |g: &mut Gen| {
+        let (header, ps, mut bytes) = arb_chunked_file(g);
+        let (n, chunk) = (ps.len(), header.checksum_chunk as usize);
+        let (payload_end, _) = footer_range(&header);
+        let payload_end = payload_end as usize;
+        let pos = g.usize_in(HEADER_BYTES, bytes.len());
+        bytes[pos] ^= g.u8() | 1;
+        // The chunk the flip lands in, and the record count that completes it.
+        let k = if pos < payload_end {
+            (pos - HEADER_BYTES) / PARTICLE_BYTES / chunk
+        } else {
+            (pos - payload_end) / 4
+        };
+        let complete = ((k + 1) * chunk).min(n);
+        let Err(SpioError::Format(whole)) = decode_data_file(&bytes) else {
+            panic!("flip at byte {pos} undetected");
+        };
+        assert!(whole.contains(&format!("chunk {k} ")), "{whole}");
+        let mut decoder = decoder_for(&header, &bytes);
+        let mut out = Vec::new();
+        for cut in arb_cuts(g, n).windows(2) {
+            let result = decoder.decode_next(payload(&bytes, cut[0], cut[1]), &mut out);
+            if cut[1] < complete {
+                result.unwrap();
+                continue;
+            }
+            match result {
+                Err(SpioError::Format(m)) => assert_eq!(m, whole),
+                other => panic!("slice to record {} of {n}: {other:?}", cut[1]),
+            }
+            return;
+        }
+        unreachable!("the cuts end at the payload's end");
     });
 }
 

@@ -392,8 +392,8 @@ fn main() -> ExitCode {
             .map(|()| println!("wrote {out}")),
         ("lod", [dir]) => spio_tools::lod_stats(&open_dir(dir), 1).map(|t| print!("{t}")),
         ("lod", [dir, readers]) => match readers.parse() {
-            Ok(n) => spio_tools::lod_stats(&open_dir(dir), n).map(|t| print!("{t}")),
-            Err(_) => return usage(),
+            Ok(n) if n > 0 => spio_tools::lod_stats(&open_dir(dir), n).map(|t| print!("{t}")),
+            _ => return usage(),
         },
         ("convert-fpp", rest) if rest.len() == 10 => {
             let (src, dst) = (&rest[0], &rest[2]);

@@ -63,17 +63,6 @@ impl Particle {
         out.extend_from_slice(&self.ptype.to_le_bytes());
     }
 
-    /// Decode one particle from exactly [`PARTICLE_BYTES`] bytes.
-    ///
-    /// # Panics
-    /// Panics if `bytes.len() != PARTICLE_BYTES`.
-    pub fn decode(bytes: &[u8]) -> Self {
-        let Ok(record) = <&[u8; PARTICLE_BYTES]>::try_from(bytes) else {
-            panic!("bad particle record size");
-        };
-        Self::decode_record(record)
-    }
-
     /// Decode one encoded record.
     #[inline]
     pub fn decode_record(record: &[u8; PARTICLE_BYTES]) -> Self {
@@ -138,10 +127,8 @@ pub fn decode_particles(bytes: &[u8]) -> Vec<Particle> {
         0,
         "byte buffer is not a whole number of particle records"
     );
-    bytes
-        .chunks_exact(PARTICLE_BYTES)
-        .map(Particle::decode)
-        .collect()
+    let (records, _) = bytes.as_chunks::<PARTICLE_BYTES>();
+    records.iter().map(Particle::decode_record).collect()
 }
 
 #[cfg(test)]
@@ -162,7 +149,7 @@ mod tests {
         let mut buf = Vec::new();
         p.encode(&mut buf);
         assert_eq!(buf.len(), PARTICLE_BYTES);
-        assert_eq!(Particle::decode(&buf), p);
+        assert_eq!(Particle::decode_record(buf.first_chunk().unwrap()), p);
     }
 
     #[test]
@@ -181,12 +168,6 @@ mod tests {
         let b = Particle::synthetic([0.0; 3], 2);
         assert_ne!(a.density, b.density);
         assert_ne!(a.stress, b.stress);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad particle record size")]
-    fn decode_rejects_short_buffer() {
-        Particle::decode(&[0u8; 10]);
     }
 
     #[test]
