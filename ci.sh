@@ -33,7 +33,6 @@ SPIO=target/release/spio
   --report-out "$OBS_DIR/report.json" \
   --metrics-out "$OBS_DIR/metrics.jsonl"
 "$SPIO" report "$OBS_DIR/report.json" > /dev/null
-"$SPIO" trace "$OBS_DIR/trace.json" > /dev/null
 "$SPIO" trace "$OBS_DIR/trace.json" --chrome "$OBS_DIR/chrome.json"
 "$SPIO" check-trace "$OBS_DIR/chrome.json"
 "$SPIO" bench --procs 8 --per-rank 2000 --runs 2 --baseline "$OBS_DIR/bench.json"
@@ -41,10 +40,11 @@ echo "ci: observability pipeline OK"
 
 # Read-serving pipeline (see docs/SERVING.md): generate an on-disk dataset,
 # smoke the LOD-answering query path and the serve-bench replay, check the
-# serving metrics surface in the rendered report, then run the read bench
-# and gate cold/warm latency with the same >20% + 20ms rule as the write
-# gate. Like above, the baseline comparison runs on identical settings
-# within this invocation, so it checks the gate machinery, not the machine.
+# serving metrics surface in the rendered report, then run the read bench,
+# schema-check its Chrome trace, and gate cold/warm latency with the same
+# record and >20% + 20ms rule as the write gate. Like above, the baseline
+# comparison runs on identical settings within this invocation, so it
+# checks the gate machinery, not the machine.
 "$SPIO" gen "$OBS_DIR/ds" 8 2000 > /dev/null
 "$SPIO" query "$OBS_DIR/ds" 0 0 0 0.5 0.5 0.5 --lod 1 > /dev/null
 "$SPIO" serve-bench "$OBS_DIR/ds" --clients 2 --queries 8 \
@@ -53,9 +53,12 @@ echo "ci: observability pipeline OK"
 "$SPIO" report "$OBS_DIR/serve_report.json" | grep -q "serve.cache.hits"
 "$SPIO" bench --read --per-rank 2000 --clients 2 --queries 8 --runs 2 \
   --write "$OBS_DIR/read.json" \
+  --trace-out "$OBS_DIR/read_trace.json" \
   --report-out "$OBS_DIR/read_report.json" \
   --metrics-out "$OBS_DIR/read_metrics.jsonl"
 "$SPIO" report "$OBS_DIR/read_report.json" > /dev/null
+"$SPIO" trace "$OBS_DIR/read_trace.json" --chrome "$OBS_DIR/read_chrome.json"
+"$SPIO" check-trace "$OBS_DIR/read_chrome.json"
 "$SPIO" bench --read --per-rank 2000 --clients 2 --queries 8 --runs 2 \
   --baseline "$OBS_DIR/read.json"
 echo "ci: read-serving pipeline OK"

@@ -22,7 +22,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod read_bench;
 pub mod regression;
 pub mod table;
 

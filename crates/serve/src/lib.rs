@@ -16,8 +16,9 @@
 //!   or missing file yields a partial result, never a failed query and
 //!   never a poisoned cache entry.
 //!
-//! [`workload`] generates seeded multi-client query mixes for the
-//! `spio serve-bench` CLI and the read benchmark.
+//! [`workload`] generates seeded multi-client query mixes and replays
+//! them concurrently ([`replay`]) for the `spio serve-bench` CLI and the
+//! read benchmark.
 
 pub mod cache;
 pub mod engine;
@@ -27,4 +28,4 @@ pub mod workload;
 pub use cache::{block_cost, BlockCache, BlockKey, CacheStats};
 pub use engine::{FileFailure, Query, QueryEngine, QueryResult, QueryStats, ServeConfig};
 pub use pool::{AdmissionGate, Permit, WorkerPool};
-pub use workload::{client_queries, hot_spot, WorkloadSpec};
+pub use workload::{client_queries, hot_spot, replay, WorkloadSpec};

@@ -1,4 +1,5 @@
-//! Seeded multi-client query workloads for the serve bench and tests.
+//! Seeded multi-client query workloads, and their concurrent replay, for
+//! the serve bench, the read benchmark and tests.
 //!
 //! Real read traffic against a spatial store is skewed: most clients probe
 //! a handful of hot regions (a feature a scientist is inspecting) while a
@@ -8,9 +9,10 @@
 //! cold/warm comparison in `spio bench --read` measures caching, not
 //! workload drift.
 
-use crate::engine::Query;
+use crate::engine::{Query, QueryEngine};
+use spio_core::Storage;
 use spio_format::SpatialMetadata;
-use spio_types::Aabb3;
+use spio_types::{Aabb3, SpioError};
 use spio_util::Rng;
 
 /// Parameters of a synthetic multi-client query mix.
@@ -95,6 +97,42 @@ pub fn client_queries(meta: &SpatialMetadata, spec: &WorkloadSpec, client: usize
             }
         })
         .collect()
+}
+
+/// Replay `clients` concurrent clients against `engine`: client `c` runs
+/// `client_queries(meta, spec, c)` through [`QueryEngine::execute_as`].
+/// Returns each client's `(complete, partial)` query counts; a client
+/// thread that panics is a typed error, not a propagated panic.
+pub fn replay<S: Storage + 'static>(
+    engine: &QueryEngine<S>,
+    clients: usize,
+    spec: &WorkloadSpec,
+) -> Result<Vec<(usize, usize)>, SpioError> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|client| {
+                scope.spawn(move || {
+                    let (mut ok, mut partial) = (0, 0);
+                    for q in client_queries(engine.meta(), spec, client) {
+                        if engine.execute_as(client, &q).is_complete() {
+                            ok += 1;
+                        } else {
+                            partial += 1;
+                        }
+                    }
+                    (ok, partial)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .enumerate()
+            .map(|(client, h)| {
+                h.join()
+                    .map_err(|_| SpioError::Comm(format!("replay client {client} thread panicked")))
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]

@@ -1,24 +1,31 @@
-//! The `spio` command-line tool: inspect, validate, query and convert
-//! spatially-aware particle datasets.
+//! The `spio` command-line tool: inspect, validate, query, serve and
+//! convert spatially-aware particle datasets, and run the bench gates.
 //!
 //! ```text
 //! spio inspect  <dir>
 //! spio validate <dir>
-//! spio query    <dir> <x0> <y0> <z0> <x1> <y1> <z1> [--density <lo> <hi>]
+//! spio gen      <dir> [procs] [per-rank]
+//! spio query    <dir> <x0> <y0> <z0> <x1> <y1> <z1> [--density <lo> <hi> | --lod L]
 //! spio lod      <dir> [readers]
 //! spio report   <job-report.json>
-//! spio trace    <trace-snapshot.json> [--chrome <out.json>]
+//! spio trace    <trace-snapshot.json> --chrome <out.json>
 //! spio check-trace <chrome-trace.json>
-//! spio bench    [--procs N] [--per-rank N] [--runs N] [--baseline F]
+//! spio bench    [--read] [--procs N] [--per-rank N] [--runs N] [--baseline F]
 //!               [--write F] [--trace-out F] [--report-out F] [--metrics-out F]
-//! spio convert-fpp <src-dir> <nwriters> <dst-dir> <PxXPyXPz> \
+//!               [--clients N] [--queries N]      (the last two only with --read)
+//! spio serve-bench <dir> [--clients N] [--queries N] [--workers N] [--seed N]
+//!                  [--report-out F]
+//! spio series   <dir>
+//! spio render   <dir> <out.ppm>
+//! spio lint     [root] [--update]
+//! spio verify-comm [--procs N] [--seeds K]
+//! spio convert-fpp <src-dir> <nwriters> <dst-dir> <PxxPyxPz> \
 //!                  <x0> <y0> <z0> <x1> <y1> <z1>
 //! ```
 
-use spio_bench::read_bench::{self, ReadBenchConfig, ReadBenchRecord};
 use spio_bench::regression::{self, BenchConfig, BenchRecord};
 use spio_tools::open_dir;
-use spio_trace::{chrome_trace, validate_chrome_trace, Timeline, TraceSnapshot};
+use spio_trace::{chrome_trace, validate_chrome_trace, TraceSnapshot};
 use spio_types::{Aabb3, PartitionFactor, SpioError};
 use std::process::ExitCode;
 
@@ -29,12 +36,11 @@ fn usage() -> ExitCode {
          spio query    <dir> <x0> <y0> <z0> <x1> <y1> <z1> [--density <lo> <hi> | --lod L]\n  \
          spio lod      <dir> [readers]\n  \
          spio report   <job-report.json>\n  \
-         spio trace    <trace-snapshot.json> [--chrome <out.json>]\n  \
+         spio trace    <trace-snapshot.json> --chrome <out.json>\n  \
          spio check-trace <chrome-trace.json>\n  \
-         spio bench    [--procs N] [--per-rank N] [--runs N] [--baseline F] \
-         [--write F] [--trace-out F] [--report-out F] [--metrics-out F]\n  \
-         spio bench    --read [--procs N] [--per-rank N] [--clients N] [--queries N] \
-         [--runs N] [--baseline F] [--write F] [--report-out F] [--metrics-out F]\n  \
+         spio bench    [--read] [--procs N] [--per-rank N] [--runs N] [--baseline F] \
+         [--write F] [--trace-out F] [--report-out F] [--metrics-out F] \
+         [--clients N] [--queries N] (the last two only with --read)\n  \
          spio serve-bench <dir> [--clients N] [--queries N] [--workers N] [--seed N] \
          [--report-out F]\n  \
          spio series   <dir>\n  \
@@ -50,36 +56,49 @@ fn config_err(msg: impl Into<String>) -> SpioError {
     SpioError::Config(msg.into())
 }
 
-/// `spio trace`: render a trace snapshot as an ASCII timeline, or export
-/// it to Chrome trace-event JSON (load via chrome://tracing or Perfetto).
-fn trace_cmd(file: &str, chrome_out: Option<&str>) -> Result<(), SpioError> {
+/// `spio trace`: export a trace snapshot to Chrome trace-event JSON (load
+/// via chrome://tracing or Perfetto; one lane per rank).
+fn trace_cmd(file: &str, out: &str) -> Result<(), SpioError> {
     let text = std::fs::read_to_string(file)?;
     let snapshot = TraceSnapshot::from_json(&text).map_err(SpioError::Format)?;
-    match chrome_out {
-        Some(out) => {
-            std::fs::write(out, chrome_trace(&snapshot))?;
-            println!("wrote {out} ({} events)", snapshot.events.len());
-        }
-        None => print!("{}", Timeline::from_snapshot(&snapshot).render_ascii(100)),
+    std::fs::write(out, chrome_trace(&snapshot))?;
+    println!("wrote {out} ({} events)", snapshot.events.len());
+    Ok(())
+}
+
+/// Write one bench artifact if its flag was given.
+fn write_artifact(
+    out: Option<&str>,
+    what: &str,
+    body: impl FnOnce() -> String,
+) -> Result<(), SpioError> {
+    if let Some(out) = out {
+        std::fs::write(out, body())?;
+        println!("wrote {what} {out}");
     }
     Ok(())
 }
 
-/// `spio bench`: run the desk-scale Fig. 6 workload under full tracing,
-/// optionally writing a perf record / trace artifacts, and gate against a
-/// baseline record (exit 1 on regression).
+/// `spio bench [--read]`: run the desk-scale Fig. 6 write workload, or with
+/// `--read` the read-serving workload, under full tracing; optionally write
+/// the record and trace artifacts, and gate against a baseline record
+/// (exit 1 on regression).
 fn bench_cmd(rest: &[String]) -> Result<(), SpioError> {
-    let mut cfg = BenchConfig::default();
-    let mut baseline = None;
-    let mut write_out = None;
-    let mut trace_out = None;
-    let mut report_out = None;
-    let mut metrics_out = None;
-    let mut i = 0;
-    while i < rest.len() {
-        let flag = rest[i].as_str();
-        let val = rest
-            .get(i + 1)
+    let read = rest.iter().any(|a| a == "--read");
+    let mut cfg = if read {
+        BenchConfig::read()
+    } else {
+        BenchConfig::fig6()
+    };
+    let (mut baseline, mut write_out, mut trace_out) = (None, None, None);
+    let (mut report_out, mut metrics_out) = (None, None);
+    let mut args = rest.iter().map(String::as_str);
+    while let Some(flag) = args.next() {
+        if flag == "--read" {
+            continue;
+        }
+        let val = args
+            .next()
             .ok_or_else(|| config_err(format!("{flag} needs a value")))?;
         let parse_n = || {
             val.parse::<usize>()
@@ -89,139 +108,54 @@ fn bench_cmd(rest: &[String]) -> Result<(), SpioError> {
             "--procs" => cfg.procs = parse_n()?.max(1),
             "--per-rank" => cfg.per_rank = parse_n()?,
             "--runs" => cfg.runs = parse_n()?.max(1),
-            "--baseline" => baseline = Some(val.clone()),
-            "--write" => write_out = Some(val.clone()),
-            "--trace-out" => trace_out = Some(val.clone()),
-            "--report-out" => report_out = Some(val.clone()),
-            "--metrics-out" => metrics_out = Some(val.clone()),
+            "--clients" | "--queries" if !read => {
+                return Err(config_err(format!("{flag} applies only with --read")))
+            }
+            "--clients" => cfg.clients = parse_n()?.max(1),
+            "--queries" => cfg.queries_per_client = parse_n()?,
+            "--baseline" => baseline = Some(val),
+            "--write" => write_out = Some(val),
+            "--trace-out" => trace_out = Some(val),
+            "--report-out" => report_out = Some(val),
+            "--metrics-out" => metrics_out = Some(val),
             _ => return Err(config_err(format!("unknown flag {flag}"))),
         }
-        i += 2;
     }
     // Load the baseline before the (slow) workload so a bad path or
     // malformed record fails fast.
     let base = baseline
-        .as_ref()
         .map(|f| BenchRecord::from_json(&std::fs::read_to_string(f)?).map_err(SpioError::Format))
         .transpose()?;
-    println!(
-        "running fig6 workload: {} ranks x {} particles, {} run(s) per config",
-        cfg.procs, cfg.per_rank, cfg.runs
-    );
-    let run = regression::run_fig6(&cfg);
-    for c in &run.record.configs {
-        let times: Vec<String> = c
-            .phases
-            .iter()
-            .map(|p| format!("{}={}µs", p.phase, p.micros))
-            .collect();
-        println!("  {}: {}", c.config, times.join(" "));
+    let run = if read {
+        println!(
+            "running read workload: {} ranks x {} particles, {} clients x {} queries, {} run(s)",
+            cfg.procs, cfg.per_rank, cfg.clients, cfg.queries_per_client, cfg.runs
+        );
+        regression::run_read_bench(&cfg)?
+    } else {
+        println!(
+            "running fig6 workload: {} ranks x {} particles, {} run(s) per config",
+            cfg.procs, cfg.per_rank, cfg.runs
+        );
+        regression::run_fig6(&cfg)?
+    };
+    for (name, us) in &run.record.timings_us {
+        println!("  {name:<20} {us:>9} µs");
     }
-    if let Some(out) = &write_out {
-        std::fs::write(out, run.record.to_json())?;
-        println!("wrote baseline {out}");
+    for (name, v) in &run.record.info {
+        println!("  {name:<20} {v:>9}");
     }
-    if let Some(out) = &trace_out {
-        std::fs::write(out, run.snapshot.to_json())?;
-        println!("wrote trace snapshot {out}");
-    }
-    if let Some(out) = &report_out {
-        std::fs::write(out, run.report.to_json())?;
-        println!("wrote job report {out}");
-    }
-    if let Some(out) = &metrics_out {
-        std::fs::write(out, &run.metrics_jsonl)?;
-        println!("wrote metrics {out}");
-    }
-    if let Some(base) = &base {
-        let base_file = baseline.as_deref().unwrap_or_default();
+    write_artifact(write_out, "baseline", || run.record.to_json())?;
+    write_artifact(trace_out, "trace snapshot", || run.snapshot.to_json())?;
+    write_artifact(report_out, "job report", || run.report.to_json())?;
+    write_artifact(metrics_out, "metrics", || run.metrics_jsonl.clone())?;
+    if let (Some(base), Some(base_file)) = (&base, baseline) {
         let regressions = regression::compare(base, &run.record, regression::DEFAULT_THRESHOLD)
             .map_err(SpioError::Config)?;
         if regressions.is_empty() {
             println!("bench gate PASS vs {base_file}");
         } else {
             eprintln!("bench gate FAIL vs {base_file}:");
-            for r in &regressions {
-                eprintln!("  REGRESSION {r}");
-            }
-            std::process::exit(1);
-        }
-    }
-    Ok(())
-}
-
-/// `spio bench --read`: run the read-serving benchmark (cold vs warm
-/// hot-spot query + multi-client replay), optionally writing a record and
-/// gating against a baseline (exit 1 on regression).
-fn read_bench_cmd(rest: &[String]) -> Result<(), SpioError> {
-    let mut cfg = ReadBenchConfig::default();
-    let mut baseline = None;
-    let mut write_out = None;
-    let mut report_out = None;
-    let mut metrics_out = None;
-    let mut i = 0;
-    while i < rest.len() {
-        let flag = rest[i].as_str();
-        let val = rest
-            .get(i + 1)
-            .ok_or_else(|| config_err(format!("{flag} needs a value")))?;
-        let parse_n = || {
-            val.parse::<usize>()
-                .map_err(|_| config_err(format!("{flag}: '{val}' is not a number")))
-        };
-        match flag {
-            "--procs" => cfg.procs = parse_n()?.max(1),
-            "--per-rank" => cfg.per_rank = parse_n()?,
-            "--clients" => cfg.clients = parse_n()?.max(1),
-            "--queries" => cfg.queries_per_client = parse_n()?,
-            "--runs" => cfg.runs = parse_n()?.max(1),
-            "--baseline" => baseline = Some(val.clone()),
-            "--write" => write_out = Some(val.clone()),
-            "--report-out" => report_out = Some(val.clone()),
-            "--metrics-out" => metrics_out = Some(val.clone()),
-            _ => return Err(config_err(format!("unknown flag {flag}"))),
-        }
-        i += 2;
-    }
-    let base = baseline
-        .as_ref()
-        .map(|f| {
-            ReadBenchRecord::from_json(&std::fs::read_to_string(f)?).map_err(SpioError::Format)
-        })
-        .transpose()?;
-    println!(
-        "running read workload: {} ranks x {} particles, {} clients x {} queries, {} run(s)",
-        cfg.procs, cfg.per_rank, cfg.clients, cfg.queries_per_client, cfg.runs
-    );
-    let run = read_bench::run_read_bench(&cfg);
-    println!(
-        "  cold_box={}µs warm_box={}µs (speedup {:.1}x), replay hit rate {:.0}%",
-        run.record.cold_box_us,
-        run.record.warm_box_us,
-        run.record.speedup(),
-        run.record.hit_rate() * 100.0
-    );
-    if let Some(out) = &write_out {
-        std::fs::write(out, run.record.to_json())?;
-        println!("wrote baseline {out}");
-    }
-    if let Some(out) = &report_out {
-        std::fs::write(out, run.report.to_json())?;
-        println!("wrote job report {out}");
-    }
-    if let Some(out) = &metrics_out {
-        std::fs::write(out, &run.metrics_jsonl)?;
-        println!("wrote metrics {out}");
-    }
-    if let Some(base) = &base {
-        let base_file = baseline.as_deref().unwrap_or_default();
-        let regressions =
-            read_bench::compare_read(base, &run.record, regression::DEFAULT_THRESHOLD)
-                .map_err(SpioError::Config)?;
-        if regressions.is_empty() {
-            println!("read bench gate PASS vs {base_file}");
-        } else {
-            eprintln!("read bench gate FAIL vs {base_file}:");
             for r in &regressions {
                 eprintln!("  REGRESSION {r}");
             }
@@ -336,15 +270,11 @@ fn main() -> ExitCode {
             .map_err(Into::into)
             .and_then(|json| spio_tools::report(&json))
             .map(|t| print!("{t}")),
-        ("trace", [file]) => trace_cmd(file, None),
-        ("trace", [file, flag, out]) if flag == "--chrome" => trace_cmd(file, Some(out)),
+        ("trace", [file, flag, out]) if flag == "--chrome" => trace_cmd(file, out),
         ("check-trace", [file]) => std::fs::read_to_string(file)
             .map_err(SpioError::from)
             .and_then(|json| validate_chrome_trace(&json).map_err(SpioError::Format))
             .map(|()| println!("chrome trace OK")),
-        ("bench", rest) if rest.first().map(String::as_str) == Some("--read") => {
-            read_bench_cmd(&rest[1..])
-        }
         ("bench", rest) => bench_cmd(rest),
         ("serve-bench", [dir, rest @ ..]) => serve_bench_cmd(dir, rest),
         ("lint", rest) => {

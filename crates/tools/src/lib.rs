@@ -296,32 +296,7 @@ pub fn serve_bench<S: Storage + Clone + 'static>(
     let trace = spio_trace::Trace::collecting();
     let engine = spio_serve::QueryEngine::open_traced(storage.clone(), config, trace.clone())?;
     let clients = clients.max(1);
-    let mut served: Vec<Result<(usize, usize), SpioError>> =
-        (0..clients).map(|_| Ok((0, 0))).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client| {
-                let (engine, meta) = (&engine, engine.meta());
-                scope.spawn(move || {
-                    let (mut ok, mut partial) = (0usize, 0usize);
-                    for q in spio_serve::client_queries(meta, spec, client) {
-                        if engine.execute_as(client, &q).is_complete() {
-                            ok += 1;
-                        } else {
-                            partial += 1;
-                        }
-                    }
-                    (ok, partial)
-                })
-            })
-            .collect();
-        for (client, h) in handles.into_iter().enumerate() {
-            served[client] = h.join().map_err(|_| {
-                SpioError::Comm(format!("serve-bench client {client} thread panicked"))
-            });
-        }
-    });
-    let served = served.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let served = spio_serve::replay(&engine, clients, spec)?;
     let cache = engine.cache_stats();
     let report = spio_trace::JobReport::from_snapshot(clients, &trace.snapshot())
         .with_metrics(&trace.metrics());

@@ -27,15 +27,13 @@
 //! * [`TraceSnapshot`] — the merged event stream plus the file-name table,
 //!   serializable as JSON; feeds [`JobReport`] (the `spio report`
 //!   summary: Fig. 6-style phase breakdown, latency percentiles,
-//!   imbalance/straggler tables), [`chrome_trace`] (Chrome trace-event
-//!   export for `chrome://tracing`/Perfetto), and [`Timeline`] (ASCII
-//!   lanes).
+//!   imbalance/straggler tables) and [`chrome_trace`] (Chrome trace-event
+//!   export for `chrome://tracing`/Perfetto, one lane per rank).
 
 mod chrome;
 mod metrics;
 mod report;
 mod shard;
-mod timeline;
 
 pub use chrome::{chrome_trace, validate_chrome_trace};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Metrics, HISTOGRAM_BUCKETS};
@@ -44,7 +42,6 @@ pub use report::{
     StorageTotal, VerifyTotal,
 };
 pub use shard::{TraceSnapshot, SHARD_COUNT};
-pub use timeline::{ScopedSpan, Span, Timeline};
 
 use shard::{EventShards, FileTable};
 use std::sync::Arc;
@@ -199,12 +196,6 @@ impl Trace {
                 },
             );
         }
-    }
-
-    /// An RAII span: records a phase with accurate start/duration when the
-    /// guard drops. No clock is read when the trace is disabled.
-    pub fn span(&self, rank: usize, phase: &'static str) -> ScopedSpan {
-        ScopedSpan::new(self, rank, phase)
     }
 
     /// Record one side of a point-to-point message. The event lands in the
